@@ -14,7 +14,7 @@ CHURN_EPOCHS ?= 1000
 # each checked for k in 1..3 by both backends.
 VERIFY_DIFF_SEEDS ?= 60
 
-.PHONY: build test race vet lint fuzz-short faults obs serve-test cache-test churn crash verify-diff batch check
+.PHONY: build test race vet lint fuzz-short faults obs serve-test cache-test churn crash verify-diff batch bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -112,4 +112,10 @@ batch:
 	$(GO) test -race -run 'TestSynthesizeAll|TestShared|TestPool|TestReset|TestSingleflight|TestSubmitBurst|TestHTTPSynthesizeAll' ./internal/resilience/ ./internal/reduce/ ./internal/bdd/ ./internal/cache/ ./internal/server/
 	$(GO) run ./cmd/syrep-bench -fig alldests -alldests-json $(CURDIR)/BENCH_all_dests.json
 
-check: build vet lint test race faults obs serve-test cache-test churn crash verify-diff batch
+# Benchmark smoke test: perfbench/ is a Go module of its own, so the root
+# `go test ./...` never reaches it. Runs a tiny version of every workload,
+# untraced and traced, with its correctness checks and metric listing.
+bench-smoke:
+	$(GO) -C perfbench test ./...
+
+check: build vet lint test race faults obs serve-test cache-test churn crash verify-diff batch bench-smoke

@@ -15,9 +15,11 @@
 package bdd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"syrep/internal/obs"
 )
@@ -42,34 +44,60 @@ const terminalLevel = Var(math.MaxInt32)
 // the Manager's node limit even after garbage collection.
 var ErrNodeLimit = errors.New("bdd: node limit exceeded")
 
+// node is one slot of the node store. next chains a live node into its
+// level's unique subtable and a freed slot into the free list.
 type node struct {
 	level     Var
 	low, high Ref
+	next      Ref
 }
 
-type uniqueKey struct {
-	level     Var
-	low, high Ref
-}
+// deadLevel marks a freed node slot.
+const deadLevel = Var(-1)
+
+// ctxPollEvery is how many node allocations mk makes between polls of the
+// Manager's context (see SetContext).
+const ctxPollEvery = 4096
 
 // Manager owns BDD nodes and caches.
 type Manager struct {
-	nodes    []node
-	unique   map[uniqueKey]Ref
-	free     []Ref // recycled node slots
-	varNames []string
+	nodes []node
+	// levels holds the unique subtable of every level (see unique.go).
+	levels []subtable
+	// freeHead is the top of the free-slot stack, linked through
+	// node.next (0 = empty); freeCount its length.
+	freeHead  Ref
+	freeCount int
+	varNames  []string
 
-	cache     map[cacheKey]Ref
+	// cache is the lossy computed cache (see cache.go): cacheShift maps a
+	// hash to a slot, cacheGen stamps valid entries, and cacheFilled counts
+	// the slots stored into during the current generation.
+	cache       []cacheEntry
+	cacheShift  uint8
+	cacheGen    uint32
+	cacheFilled int64
+
 	protected map[Ref]int
 
-	nodeLimit   int // hard cap on live nodes (0 = unlimited)
-	gcThreshold int // try GC when live nodes exceed this
-	overflowed  bool
+	nodeLimit  int // hard cap on live nodes (0 = unlimited)
+	overflowed bool
+
+	// ctx, when set, is polled every ctxPollEvery node allocations so that
+	// one long operation cannot outlive its deadline (see SetContext).
+	ctx    context.Context
+	allocs int
 
 	// var2level / level2var implement dynamic variable reordering (see
 	// reorder.go); empty slices mean the identity permutation.
 	var2level []Var
 	level2var []Var
+
+	// Scratch buffers reused across GC, grow and swapLevels calls.
+	marks                          []bool
+	markStack                      []Ref
+	growScratch                    []Ref
+	swapUpper, swapLower, rewrites []Ref
 
 	// Stats counts operations for benchmarking and tuning.
 	Stats Stats
@@ -79,12 +107,14 @@ type Manager struct {
 	// so the unobserved hot path costs one predictable nil check per op.
 	obsMk, obsAlloc, obsCacheHit, obsCacheMiss *obs.Counter
 	obsGC, obsFreed, obsReorders               *obs.Counter
-	obsPeak                                    *obs.Gauge
+	obsGCNanos, obsReorderNanos                *obs.Counter
+	obsPeak, obsCacheOccupancy                 *obs.Gauge
 }
 
 // Observe attaches the obs counter bundle c to the Manager so hot-path
-// events (mk calls, node allocations, apply-cache hits/misses, GC runs,
-// freed nodes, reorder passes, peak live nodes) stream into it atomically.
+// events (mk calls, node allocations, apply-cache hits/misses, GC runs and
+// time, freed nodes, reorder passes and time, peak live nodes, cache
+// occupancy) stream into it atomically.
 // Passing nil detaches. The per-Manager Stats field keeps counting either
 // way; Observe adds a cross-Manager, goroutine-safe aggregation channel for
 // the observability layer.
@@ -92,13 +122,15 @@ func (m *Manager) Observe(c *obs.BDDCounters) {
 	if c == nil {
 		m.obsMk, m.obsAlloc, m.obsCacheHit, m.obsCacheMiss = nil, nil, nil, nil
 		m.obsGC, m.obsFreed, m.obsReorders = nil, nil, nil
-		m.obsPeak = nil
+		m.obsGCNanos, m.obsReorderNanos = nil, nil
+		m.obsPeak, m.obsCacheOccupancy = nil, nil
 		return
 	}
 	m.obsMk, m.obsAlloc = c.MkCalls, c.NodesAllocated
 	m.obsCacheHit, m.obsCacheMiss = c.CacheHits, c.CacheMisses
 	m.obsGC, m.obsFreed, m.obsReorders = c.GCRuns, c.NodesFreed, c.Reorders
-	m.obsPeak = c.PeakNodes
+	m.obsGCNanos, m.obsReorderNanos = c.GCNanos, c.ReorderNanos
+	m.obsPeak, m.obsCacheOccupancy = c.PeakNodes, c.CacheOccupancy
 }
 
 // Stats aggregates operation counters.
@@ -131,15 +163,13 @@ func NewWithConfig(cfg Config) *Manager {
 		capacity = 1024
 	}
 	m := &Manager{
-		nodes:       make([]node, 2, capacity),
-		unique:      make(map[uniqueKey]Ref, capacity),
-		cache:       make(map[cacheKey]Ref, capacity),
-		protected:   make(map[Ref]int),
-		nodeLimit:   cfg.NodeLimit,
-		gcThreshold: 1 << 16,
+		nodes:     make([]node, 2, capacity),
+		protected: make(map[Ref]int),
+		nodeLimit: cfg.NodeLimit,
 	}
 	m.nodes[False] = node{level: terminalLevel, low: False, high: False}
 	m.nodes[True] = node{level: terminalLevel, low: True, high: True}
+	m.resizeCache(minCacheSize)
 	return m
 }
 
@@ -150,6 +180,15 @@ func (m *Manager) NewVar(name string) Var {
 		name = fmt.Sprintf("x%d", v)
 	}
 	m.varNames = append(m.varNames, name)
+	// A recycled subtable (Reset keeps them) restarts empty but keeps its
+	// bucket array's capacity.
+	if len(m.levels) < cap(m.levels) {
+		m.levels = m.levels[:len(m.levels)+1]
+		st := &m.levels[len(m.levels)-1]
+		st.buckets, st.count = st.buckets[:0], 0
+	} else {
+		m.levels = append(m.levels, subtable{})
+	}
 	return v
 }
 
@@ -177,7 +216,7 @@ func (m *Manager) VarName(v Var) string {
 func (m *Manager) levelName(l Var) string { return m.VarName(m.levelToVar(l)) }
 
 // NumNodes returns the number of live nodes, terminals included.
-func (m *Manager) NumNodes() int { return len(m.nodes) - len(m.free) }
+func (m *Manager) NumNodes() int { return len(m.nodes) - m.freeCount }
 
 // Level returns the variable of the node (terminalLevel for constants).
 func (m *Manager) level(f Ref) Var { return m.nodes[f].level }
@@ -222,24 +261,41 @@ func (m *Manager) mk(level Var, low, high Ref) Ref {
 	if low == high {
 		return low
 	}
-	key := uniqueKey{level: level, low: low, high: high}
-	if r, ok := m.unique[key]; ok {
+	st := &m.levels[level]
+	if r := m.lookup(st, low, high); r != 0 {
 		return r
 	}
 	if m.nodeLimit > 0 && m.NumNodes() >= m.nodeLimit {
 		m.overflowed = true
 		panic(bddOverflow{})
 	}
-	var r Ref
-	if n := len(m.free); n > 0 {
-		r = m.free[n-1]
-		m.free = m.free[:n-1]
+	if m.allocs++; m.allocs%ctxPollEvery == 0 && m.ctx != nil {
+		if err := m.ctx.Err(); err != nil {
+			panic(bddCancel{err})
+		}
+	}
+	r := m.freeHead
+	if r != 0 {
+		m.freeHead = m.nodes[r].next
+		m.freeCount--
 		m.nodes[r] = node{level: level, low: low, high: high}
 	} else {
+		if len(m.nodes) == cap(m.nodes) {
+			// Double the arena (append's gentler growth for large slices
+			// copies a multi-megabyte arena several times as often), but
+			// never past the node limit: with the free list empty every
+			// slot is live, so the arena cannot outgrow it.
+			more := len(m.nodes)
+			if m.nodeLimit > 0 {
+				more = min(more, m.nodeLimit-len(m.nodes))
+			}
+			m.nodes = slices.Grow(m.nodes, more)
+		}
 		r = Ref(len(m.nodes))
 		m.nodes = append(m.nodes, node{level: level, low: low, high: high})
 	}
-	m.unique[key] = r
+	m.link(r)
+	m.growCache()
 	m.obsAlloc.Inc()
 	m.obsPeak.SetMax(int64(m.NumNodes()))
 	return r
@@ -249,17 +305,33 @@ func (m *Manager) mk(level Var, low, high Ref) Ref {
 // it to ErrNodeLimit.
 type bddOverflow struct{}
 
-// Protect runs fn, converting a node-limit abort into ErrNodeLimit. All
-// top-level symbolic computations that may blow up should run under
-// Protect.
+// bddCancel is the panic payload for a context that expired during an
+// operation; Protect converts it to the context's error.
+type bddCancel struct{ err error }
+
+// SetContext makes the Manager poll ctx every few thousand node allocations
+// and abort the running operation once ctx is done, so a single large
+// operation cannot overrun a deadline. The abort unwinds like a node-limit
+// overflow: Protect returns ctx.Err(), and the Manager stays consistent (no
+// node is half-built). Reorder does not poll, because an aborted adjacent-
+// level swap would leave the table corrupted. A nil ctx (the default, and
+// the state after Reset) disables polling.
+func (m *Manager) SetContext(ctx context.Context) { m.ctx = ctx }
+
+// Protect runs fn, converting a node-limit abort into ErrNodeLimit and a
+// context abort (see SetContext) into the context's error. All top-level
+// symbolic computations that may blow up should run under Protect.
 func (m *Manager) Protect(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(bddOverflow); ok {
+			switch p := r.(type) {
+			case bddOverflow:
 				err = ErrNodeLimit
-				return
+			case bddCancel:
+				err = p.err
+			default:
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
 	return fn()

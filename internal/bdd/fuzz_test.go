@@ -49,24 +49,85 @@ func tableOf(m *Manager, f Ref) uint64 {
 }
 
 // checkStructure asserts the ROBDD structural invariants over every live
-// node: strictly increasing levels, no redundant tests, and a unique table
-// that mirrors the node store exactly (hash-consing cannot have duplicates).
+// node — strictly increasing levels, no redundant tests — and that the
+// unique subtables and the free list partition the node store exactly:
+// every live node sits exactly once in its own level's subtable, in the
+// bucket its children hash to; no two chained nodes share a (level, low,
+// high) key; no freed slot is reachable from a chain; each subtable's count
+// equals its chain length; and the chains hold exactly the live nodes.
 func checkStructure(t *testing.T, m *Manager) {
 	t.Helper()
-	for key, ref := range m.unique {
-		n := m.nodes[ref]
-		if n.level != key.level || n.low != key.low || n.high != key.high {
-			t.Fatalf("unique table entry %+v does not match node %d: %+v", key, ref, n)
-		}
-		if n.low == n.high {
-			t.Fatalf("redundant node %d: low == high == %d", ref, n.low)
-		}
-		for _, child := range []Ref{n.low, n.high} {
-			if !IsTerminal(child) && m.nodes[child].level <= n.level {
-				t.Fatalf("node %d at level %d has child %d at level %d (order violated)",
-					ref, n.level, child, m.nodes[child].level)
+	seen := make([]bool, len(m.nodes))
+	keys := make(map[[3]Ref]Ref)
+	chained := 0
+	for l := range m.levels {
+		st := &m.levels[l]
+		count := 0
+		for b, head := range st.buckets {
+			for r := head; r != 0; r = m.nodes[r].next {
+				if r < 2 || int(r) >= len(m.nodes) {
+					t.Fatalf("level %d bucket %d chains out-of-range ref %d", l, b, r)
+				}
+				if seen[r] {
+					t.Fatalf("node %d is chained twice (or a chain cycles)", r)
+				}
+				seen[r] = true
+				n := m.nodes[r]
+				if n.level == deadLevel {
+					t.Fatalf("freed slot %d is reachable from level %d's chains", r, l)
+				}
+				if n.level != Var(l) {
+					t.Fatalf("node %d at level %d is chained in level %d's subtable", r, n.level, l)
+				}
+				if got := st.slot(n.low, n.high); got != uint64(b) {
+					t.Fatalf("node %d sits in bucket %d, its children hash to %d", r, b, got)
+				}
+				key := [3]Ref{Ref(n.level), n.low, n.high}
+				if dup, ok := keys[key]; ok {
+					t.Fatalf("nodes %d and %d share key %v (hash-consing broke)", dup, r, key)
+				}
+				keys[key] = r
+				if n.low == n.high {
+					t.Fatalf("redundant node %d: low == high == %d", r, n.low)
+				}
+				for _, child := range []Ref{n.low, n.high} {
+					if m.nodes[child].level == deadLevel {
+						t.Fatalf("node %d has freed child %d", r, child)
+					}
+					if !IsTerminal(child) && m.nodes[child].level <= n.level {
+						t.Fatalf("node %d at level %d has child %d at level %d (order violated)",
+							r, n.level, child, m.nodes[child].level)
+					}
+				}
+				count++
 			}
 		}
+		if count != int(st.count) {
+			t.Fatalf("level %d: subtable count %d, chains hold %d nodes", l, st.count, count)
+		}
+		chained += count
+	}
+	free := 0
+	for r := m.freeHead; r != 0; r = m.nodes[r].next {
+		if seen[r] {
+			t.Fatalf("slot %d is both chained and free (or the free list cycles)", r)
+		}
+		if m.nodes[r].level != deadLevel {
+			t.Fatalf("free slot %d is not marked dead", r)
+		}
+		seen[r] = true
+		free++
+	}
+	if free != m.freeCount {
+		t.Fatalf("free list holds %d slots, freeCount says %d", free, m.freeCount)
+	}
+	for i := 2; i < len(m.nodes); i++ {
+		if !seen[i] {
+			t.Fatalf("slot %d is neither chained nor free", i)
+		}
+	}
+	if live := m.NumNodes() - 2; chained != live {
+		t.Fatalf("chains hold %d nodes, %d are live", chained, live)
 	}
 }
 
@@ -139,14 +200,17 @@ func FuzzMk(f *testing.F) {
 	})
 }
 
-// FuzzApplyGC interleaves Apply operations with Ref/Deref and GC, checking
-// after every collection that protected functions survive with identical
-// semantics and that canonicity holds across the GC boundary (freed slots
-// recycled by mk must not produce duplicate or corrupted nodes).
+// FuzzApplyGC interleaves Apply operations with Ref/Deref, GC, adjacent-
+// level swaps and sifting passes, checking after every collection or
+// reordering step that protected functions survive with identical semantics
+// and that canonicity holds across the boundary (freed slots recycled by mk,
+// and nodes rewritten or relinked by a swap, must not produce duplicate or
+// corrupted nodes).
 func FuzzApplyGC(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 2, 4, 9, 4})
 	f.Add([]byte{3, 3, 4, 5, 4, 3, 4, 6, 4})
 	f.Add([]byte{12, 25, 4, 17, 4, 8, 30, 4, 2, 4, 11})
+	f.Add([]byte{0, 1, 9, 2, 15, 17, 3, 7, 11, 4, 31, 6, 23, 5, 47, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, vars := newMgr(t, fuzzVars)
 		var pool []shadow
@@ -161,7 +225,7 @@ func FuzzApplyGC(f *testing.F) {
 			}
 			a := pool[int(b)%len(pool)]
 			c := pool[int(b/11)%len(pool)]
-			switch b % 7 {
+			switch b % 8 {
 			case 0:
 				push(m.And(a.ref, c.ref), a.mask&c.mask)
 			case 1:
@@ -183,6 +247,14 @@ func FuzzApplyGC(f *testing.F) {
 				}
 			case 6:
 				push(m.Not(a.ref), ^a.mask&fullMask)
+			case 7:
+				if b&8 != 0 {
+					m.swapLevels(Var(int(b/16) % (fuzzVars - 1)))
+				} else {
+					m.Reorder(ReorderConfig{})
+				}
+				checkStructure(t, m)
+				checkShadows(t, m, pool)
 			}
 		}
 		m.GC()

@@ -1,10 +1,10 @@
 package bdd
 
-import "sort"
+import "time"
 
 // Garbage collection: mark from protected roots, sweep everything else.
 // Refs of live nodes are stable across GC; freed slots are recycled by mk.
-// The operation cache is cleared because it may reference freed nodes.
+// The operation cache is invalidated because it may reference freed nodes.
 //
 // GC must only run between top-level operations: intermediate results held
 // on the Go stack during a recursion are not protected. The Manager never
@@ -13,15 +13,22 @@ import "sort"
 // GC frees every node unreachable from protected roots and returns the
 // number of freed nodes.
 func (m *Manager) GC() int {
+	start := time.Now()
 	m.Stats.GCs++
 	m.obsGC.Inc()
-	marked := make([]bool, len(m.nodes))
+	marked := m.marks[:0]
+	if cap(marked) < len(m.nodes) {
+		marked = make([]bool, len(m.nodes))
+	} else {
+		marked = marked[:len(m.nodes)]
+		clear(marked)
+	}
 	marked[False] = true
 	marked[True] = true
 	// Mark with an explicit stack: a chain-shaped BDD is as deep as it has
 	// levels, and recursion would overflow the goroutine stack long before
 	// the node table fills.
-	stack := make([]Ref, 0, 128)
+	stack := m.markStack[:0]
 	push := func(f Ref) {
 		if !marked[f] {
 			marked[f] = true
@@ -38,37 +45,33 @@ func (m *Manager) GC() int {
 		push(n.low)
 		push(n.high)
 	}
+	m.marks, m.markStack = marked, stack
 
-	// Sweep: rebuild the unique table, recycle dead slots. The dead slots
-	// are discovered in map order; sort them before they join the free list
-	// so mk recycles Refs in the same order every run — otherwise two
-	// identical synthesis runs diverge in Ref numbering after the first GC.
-	freedBefore := len(m.free)
-	inFree := make([]bool, len(m.nodes))
-	for _, f := range m.free {
-		inFree[f] = true
+	// Sweep in index order: free the unmarked nodes and relink the marked
+	// ones into emptied subtables. Freed slots join the free stack in
+	// ascending order, so mk recycles them highest first, the same way in
+	// every run.
+	for i := range m.levels {
+		st := &m.levels[i]
+		clear(st.buckets)
+		st.count = 0
 	}
-	var swept []Ref
-	for key, ref := range m.unique {
-		if !marked[ref] {
-			delete(m.unique, key)
-			if !inFree[ref] {
-				swept = append(swept, ref)
-				inFree[ref] = true
-			}
+	freed := 0
+	for i := 2; i < len(m.nodes); i++ {
+		switch {
+		case m.nodes[i].level == deadLevel:
+		case marked[i]:
+			m.link(Ref(i))
+		default:
+			m.nodes[i] = node{level: deadLevel, next: m.freeHead}
+			m.freeHead = Ref(i)
+			freed++
 		}
 	}
-	sort.Slice(swept, func(i, j int) bool { return swept[i] < swept[j] })
-	m.free = append(m.free, swept...)
-	m.cache = make(map[cacheKey]Ref, 1024)
-	freed := len(m.free) - freedBefore
+	m.freeCount += freed
+	m.invalidateCache()
 	m.Stats.NodesFreed += int64(freed)
 	m.obsFreed.Add(int64(freed))
+	m.obsGCNanos.Add(int64(time.Since(start)))
 	return freed
-}
-
-// ClearCache drops the operation cache without freeing nodes. Useful to
-// bound memory between independent problem instances sharing a Manager.
-func (m *Manager) ClearCache() {
-	m.cache = make(map[cacheKey]Ref, 1024)
 }

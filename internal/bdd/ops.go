@@ -34,15 +34,6 @@ func (op Op) String() string {
 	return "op?"
 }
 
-// cacheKey memoises unary, binary and ternary operations. kind disambiguates
-// the operation family; c doubles as the extra operand (ITE third argument,
-// quantification cube, substitution id, ...).
-type cacheKey struct {
-	kind    uint8
-	op      Op
-	a, b, c Ref
-}
-
 const (
 	kindApply = iota + 1
 	kindNot
@@ -55,20 +46,6 @@ const (
 	kindRestrict
 	kindSatCount
 )
-
-func (m *Manager) cacheGet(k cacheKey) (Ref, bool) {
-	r, ok := m.cache[k]
-	if ok {
-		m.Stats.CacheHits++
-		m.obsCacheHit.Inc()
-	} else {
-		m.Stats.CacheMiss++
-		m.obsCacheMiss.Inc()
-	}
-	return r, ok
-}
-
-func (m *Manager) cachePut(k cacheKey, r Ref) { m.cache[k] = r }
 
 // And returns a ∧ b.
 func (m *Manager) And(a, b Ref) Ref { return m.Apply(OpAnd, a, b) }
@@ -224,7 +201,7 @@ func (m *Manager) Apply(op Op, a, b Ref) Ref {
 			a, b = b, a
 		}
 	}
-	key := cacheKey{kind: kindApply, op: op, a: a, b: b}
+	key := newCacheKey(kindApply, op, a, b, 0)
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}
@@ -256,7 +233,7 @@ func (m *Manager) Not(f Ref) Ref {
 	case True:
 		return False
 	}
-	key := cacheKey{kind: kindNot, a: f}
+	key := newCacheKey(kindNot, 0, f, 0, 0)
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}
@@ -280,7 +257,7 @@ func (m *Manager) Ite(f, g, h Ref) Ref {
 	case g == False && h == True:
 		return m.Not(f)
 	}
-	key := cacheKey{kind: kindIte, a: f, b: g, c: h}
+	key := newCacheKey(kindIte, 0, f, g, h)
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}
@@ -387,7 +364,7 @@ func (m *Manager) quant(f Ref, cube Cube, cubeID Ref, combine Op, kind uint8) Re
 	if lv > cube.vars[len(cube.vars)-1] {
 		return f // below all quantified variables
 	}
-	key := cacheKey{kind: kind, a: f, b: cubeID}
+	key := newCacheKey(kind, 0, f, cubeID, 0)
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}
@@ -432,7 +409,7 @@ func (m *Manager) andExists(f, g Ref, cube Cube, cubeID Ref) Ref {
 	if f > g {
 		f, g = g, f
 	}
-	key := cacheKey{kind: kindAndExists, a: f, b: g, c: cubeID}
+	key := newCacheKey(kindAndExists, 0, f, g, cubeID)
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}
@@ -503,7 +480,7 @@ func (m *Manager) restrict(f Ref, assignment map[Var]bool, id Ref, cube Cube) Re
 	if lv > cube.vars[len(cube.vars)-1] {
 		return f
 	}
-	key := cacheKey{kind: kindRestrict, a: f, b: id}
+	key := newCacheKey(kindRestrict, 0, f, id, 0)
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}
@@ -532,7 +509,7 @@ func (m *Manager) compose(f Ref, lv Var, g Ref) Ref {
 	if IsTerminal(f) || m.level(f) > lv {
 		return f
 	}
-	key := cacheKey{kind: kindCompose, a: f, b: g, c: Ref(lv)}
+	key := newCacheKey(kindCompose, 0, f, g, Ref(lv))
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}
@@ -594,7 +571,7 @@ func (m *Manager) replace(f Ref, rep Replacement) Ref {
 	if IsTerminal(f) {
 		return f
 	}
-	key := cacheKey{kind: kindReplace, a: f, b: rep.id}
+	key := newCacheKey(kindReplace, 0, f, rep.id, 0)
 	if r, ok := m.cacheGet(key); ok {
 		return r
 	}

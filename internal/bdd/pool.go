@@ -17,7 +17,10 @@ import "sync"
 // across runs and the cache replays them across processes. Reset therefore
 // restores every piece of semantic state — nodes, unique table, operation
 // cache, protections, free list, variable order — and only the allocation
-// capacity survives. The cumulative Stats counters also survive: they are
+// capacity survives. Capacity cannot leak into results: the lossy cache never
+// changes a Ref (see cache.go), and a subtable's chains depend only on its
+// size history, which a Reset subtable replays from scratch (see
+// Manager.grow). The cumulative Stats counters also survive: they are
 // bookkeeping, not semantics.
 
 // Reset restores the Manager to the state of a fresh NewWithConfig with the
@@ -28,18 +31,18 @@ func (m *Manager) Reset() {
 	m.nodes = m.nodes[:2]
 	m.nodes[False] = node{level: terminalLevel, low: False, high: False}
 	m.nodes[True] = node{level: terminalLevel, low: True, high: True}
-	// Maps are rebuilt rather than range-deleted: after a large solve a
-	// cleared map would pin its grown bucket array forever, defeating the
-	// memory bound the node limit exists for.
-	m.unique = make(map[uniqueKey]Ref, 1024)
-	m.cache = make(map[cacheKey]Ref, 1024)
-	m.protected = make(map[Ref]int)
-	m.free = m.free[:0]
+	// Subtables and the cache are cleared in place: NewVar hands out the
+	// old subtables empty but with their bucket arrays' capacity, and a new
+	// cache generation invalidates every entry in O(1).
+	m.levels = m.levels[:0]
+	m.invalidateCache()
+	clear(m.protected)
+	m.freeHead, m.freeCount = 0, 0
 	m.varNames = m.varNames[:0]
 	m.var2level = m.var2level[:0]
 	m.level2var = m.level2var[:0]
 	m.overflowed = false
-	m.gcThreshold = 1 << 16
+	m.ctx = nil
 	m.Observe(nil)
 }
 

@@ -9,36 +9,12 @@ import (
 )
 
 // opTrace runs a fixed scripted op sequence on a pristine manager and
-// returns every Ref it produced, GC churn included. Two pristine managers
-// must yield identical traces: Ref numbering is part of the determinism
-// contract pooling relies on.
+// returns every Ref it produced, GC and reorder churn included. Two pristine
+// managers must yield identical traces: Ref numbering is part of the
+// determinism contract pooling relies on.
 func opTrace(t *testing.T, m *bdd.Manager) []bdd.Ref {
 	t.Helper()
-	vars := m.NewVars("p", 8)
-	var trace []bdd.Ref
-	var f bdd.Ref = bdd.True
-	err := m.Protect(func() error {
-		for i, v := range vars {
-			g := m.Or(m.VarRef(v), m.NVarRef(vars[(i+3)%len(vars)]))
-			f = m.And(f, g)
-			m.Ref(f)
-			trace = append(trace, f, g)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GC recycles unprotected intermediates; the free-list order feeds the
-	// next allocations, so the post-GC phase checks Reset restored that too.
-	m.GC()
-	err = m.Protect(func() error {
-		for i := range vars {
-			h := m.And(m.VarRef(vars[i]), m.Not(f))
-			trace = append(trace, h)
-		}
-		return nil
-	})
+	trace, err := opTraceQuiet(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +113,7 @@ func TestPoolConcurrentObserved(t *testing.T) {
 
 	const workers, rounds = 8, 6
 	var wg sync.WaitGroup
-	errs := make(chan string, workers)
+	errs := make(chan string, workers*rounds) // at most one per trace: sends never block
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -145,9 +121,9 @@ func TestPoolConcurrentObserved(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				m := pool.Get()
 				m.Observe(o.BDD())
-				got := opTraceQuiet(m)
-				if got == nil {
-					errs <- "opTrace failed"
+				got, err := opTraceQuiet(m)
+				if err != nil {
+					errs <- "opTrace failed: " + err.Error()
 				} else {
 					for i := range want {
 						if want[i] != got[i] {
@@ -172,7 +148,7 @@ func TestPoolConcurrentObserved(t *testing.T) {
 
 // opTraceQuiet is opTrace without the testing.T plumbing, for use inside
 // goroutines (t.Fatal must not be called off the test goroutine).
-func opTraceQuiet(m *bdd.Manager) []bdd.Ref {
+func opTraceQuiet(m *bdd.Manager) ([]bdd.Ref, error) {
 	vars := m.NewVars("p", 8)
 	var trace []bdd.Ref
 	var f bdd.Ref = bdd.True
@@ -185,8 +161,10 @@ func opTraceQuiet(m *bdd.Manager) []bdd.Ref {
 		}
 		return nil
 	}); err != nil {
-		return nil
+		return nil, err
 	}
+	// GC recycles unprotected intermediates; the free-list order feeds the
+	// next allocations, so the post-GC phase checks Reset restored that too.
 	m.GC()
 	if err := m.Protect(func() error {
 		for i := range vars {
@@ -195,7 +173,19 @@ func opTraceQuiet(m *bdd.Manager) []bdd.Ref {
 		}
 		return nil
 	}); err != nil {
-		return nil
+		return nil, err
 	}
-	return trace
+	// Sifting walks the unique subtables' chains and allocates in that
+	// order, so the post-reorder phase checks that subtables recycled by
+	// Reset (which keep their bucket arrays) chain like fresh ones.
+	m.Reorder(bdd.ReorderConfig{})
+	if err := m.Protect(func() error {
+		for i := range vars {
+			trace = append(trace, m.Or(m.VarRef(vars[i]), f))
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return trace, nil
 }

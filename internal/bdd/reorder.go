@@ -1,6 +1,6 @@
 package bdd
 
-import "sort"
+import "time"
 
 // Dynamic variable reordering (Rudell's sifting), the feature CUDD provides
 // the SyRep authors' prototype. Reordering changes where each variable sits
@@ -55,7 +55,8 @@ func (m *Manager) levelToVar(l Var) Var {
 }
 
 // swapLevels exchanges the variables at levels x and x+1, rewriting affected
-// nodes in place. Every Ref keeps denoting the same Boolean function.
+// nodes in place. Every Ref keeps denoting the same Boolean function. Only
+// the subtables of levels x and x+1 are touched.
 func (m *Manager) swapLevels(x Var) {
 	m.ensurePerm()
 	y := x + 1
@@ -63,58 +64,36 @@ func (m *Manager) swapLevels(x Var) {
 		return
 	}
 
-	// Partition live node slots by level. Dead (freed) slots are excluded
-	// via the unique table, which indexes exactly the live nodes.
-	var upper, lower []Ref // level x (var u) and level y (var v) nodes
-	for key, ref := range m.unique {
-		switch key.level {
-		case x:
-			upper = append(upper, ref)
-		case y:
-			lower = append(lower, ref)
-		}
-	}
-	// The phase-3 rewrites call mk() per collected slot, allocating fresh
-	// nodes; iterating in map order would make those allocations — and hence
-	// every Ref the caller sees afterwards — differ run to run. Sort so a
-	// given DAG always reorders identically.
-	sort.Slice(upper, func(i, j int) bool { return upper[i] < upper[j] })
-	sort.Slice(lower, func(i, j int) bool { return lower[i] < lower[j] })
-	// Remove stale keys: after the swap, "level x" means a different
-	// variable, so every entry at x and y is rekeyed below.
-	for _, r := range upper {
-		n := m.nodes[r]
-		delete(m.unique, uniqueKey{level: x, low: n.low, high: n.high})
-	}
-	for _, r := range lower {
-		n := m.nodes[r]
-		delete(m.unique, uniqueKey{level: y, low: n.low, high: n.high})
-	}
+	// Empty both subtables: after the swap, "level x" means a different
+	// variable, so every node at x and y is relinked below. The chain walk
+	// order is a function of the table's history, so the phase-3 rewrites —
+	// which allocate — happen in the same order on every run.
+	upper := m.unlinkAll(&m.levels[x], m.swapUpper[:0]) // level x (var u)
+	lower := m.unlinkAll(&m.levels[y], m.swapLower[:0]) // level y (var v)
 
 	// Phase 1: upper nodes that do not branch on the lower variable simply
 	// move down one level.
-	var rewrites []Ref
+	rewrites := m.rewrites[:0]
 	for _, r := range upper {
-		n := m.nodes[r]
+		n := &m.nodes[r]
 		if m.nodes[n.low].level == y || m.nodes[n.high].level == y {
 			rewrites = append(rewrites, r)
 			continue
 		}
-		m.nodes[r].level = y
-		m.unique[uniqueKey{level: y, low: n.low, high: n.high}] = r
+		n.level = y
+		m.link(r)
 	}
 
 	// Phase 2: lower nodes keep their structure and rise to level x *if*
-	// they remain referenced from above; dead ones are reinserted anyway and
-	// collected by the next GC. They must be rekeyed before the rewrites so
+	// they remain referenced from above; dead ones are relinked anyway and
+	// collected by the next GC. They must be relinked before the rewrites so
 	// that rewrites can share them... they cannot: a risen node has the
 	// lower variable on top, exactly like a rewritten upper node, and the
 	// canonicity argument (distinct functions before the swap stay distinct)
 	// rules out collisions.
 	for _, r := range lower {
-		n := m.nodes[r]
 		m.nodes[r].level = x
-		m.unique[uniqueKey{level: x, low: n.low, high: n.high}] = r
+		m.link(r)
 	}
 
 	// Phase 3: upper nodes branching on the lower variable are rewritten:
@@ -141,11 +120,10 @@ func (m *Manager) swapLevels(x Var) {
 			// anyway to fail loudly instead of corrupting the table.
 			panic("bdd: swapLevels produced a redundant node")
 		}
-		m.nodes[r].level = x
-		m.nodes[r].low = inner0
-		m.nodes[r].high = inner1
-		m.unique[uniqueKey{level: x, low: inner0, high: inner1}] = r
+		m.nodes[r] = node{level: x, low: inner0, high: inner1}
+		m.link(r)
 	}
+	m.swapUpper, m.swapLower, m.rewrites = upper[:0], lower[:0], rewrites[:0]
 
 	// Swap the permutation entries.
 	u, v := m.level2var[x], m.level2var[y]
@@ -153,7 +131,7 @@ func (m *Manager) swapLevels(x Var) {
 	m.var2level[u], m.var2level[v] = y, x
 
 	// The operation cache refers to pre-swap structure.
-	m.cache = make(map[cacheKey]Ref, 1024)
+	m.invalidateCache()
 }
 
 // cofactorAt returns the cofactors of f with respect to the variable that
@@ -170,10 +148,8 @@ func (m *Manager) cofactorAt(f Ref, newLevel Var) (low, high Ref) {
 func (m *Manager) nodesPerLevel() []int {
 	m.ensurePerm()
 	counts := make([]int, len(m.level2var))
-	for key := range m.unique {
-		if int(key.level) < len(counts) {
-			counts[key.level]++
-		}
+	for l := range counts {
+		counts[l] = int(m.levels[l].count)
 	}
 	return counts
 }
@@ -208,6 +184,7 @@ type ReorderConfig struct {
 // within a Protect'ed computation's callbacks while recursive operations
 // are on the stack.
 func (m *Manager) Reorder(cfg ReorderConfig) {
+	start := time.Now()
 	if cfg.MaxGrowth <= 1 {
 		cfg.MaxGrowth = 1.2
 	}
@@ -245,8 +222,13 @@ func (m *Manager) Reorder(cfg ReorderConfig) {
 		cands = cands[:cfg.MaxVars]
 	}
 
+	// An aborted adjacent-level swap would corrupt the table, so the pass
+	// does not poll the context; the caller polls around it.
+	ctx := m.ctx
+	m.ctx = nil
+	defer func() { m.ctx = ctx }()
 	m.GC()
-	total := len(m.unique)
+	total := m.uniqueSize()
 	swapBudget := cfg.MaxSwaps
 	if swapBudget <= 0 {
 		swapBudget = 1 << 30
@@ -261,13 +243,14 @@ func (m *Manager) Reorder(cfg ReorderConfig) {
 		}
 		// Early abort when sifting is clearly not paying for itself.
 		if i >= 3 {
-			if float64(len(m.unique)) > (1-cfg.MinGain)*float64(total) {
+			if float64(m.uniqueSize()) > (1-cfg.MinGain)*float64(total) {
 				break
 			}
 		}
 	}
 	m.Stats.Reorders++
 	m.obsReorders.Inc()
+	m.obsReorderNanos.Add(int64(time.Since(start)))
 }
 
 // siftVar moves v through the order and parks it at the best position,
@@ -355,4 +338,6 @@ func (m *Manager) siftVar(v Var, maxGrowth float64, stride, maxSwaps int) int {
 	return swaps
 }
 
-func (m *Manager) uniqueSize() int { return len(m.unique) }
+// uniqueSize counts the nodes in the unique table (live nodes minus the
+// two terminals).
+func (m *Manager) uniqueSize() int { return m.NumNodes() - 2 }

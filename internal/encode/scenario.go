@@ -141,8 +141,9 @@ type solver struct {
 	r    *routing.Routing
 	k    int
 	opts Options
-	// ctx is checked between fixpoint sweeps so that a single expensive
-	// scenario cannot outlive a timeout by much.
+	// ctx is checked between fixpoint sweeps; the Manager also polls it
+	// inside BDD operations (bdd.Manager.SetContext), so a single expensive
+	// operation cannot outlive a timeout by much either.
 	ctx   context.Context
 	holes []hole
 	// holeAt maps a routing key to its hole, for transition lookup.
@@ -179,6 +180,7 @@ func Solve(ctx context.Context, r *routing.Routing, k int, opts Options) (*Solut
 		opts.ManagerHook(s.m)
 	}
 	s.m.Observe(opts.Counters)
+	s.m.SetContext(ctx)
 	var sol *Solution
 	err := s.m.Protect(func() error {
 		var err error
@@ -614,6 +616,7 @@ func Enumerate(ctx context.Context, r *routing.Routing, k int, opts Options, max
 	if opts.ManagerHook != nil {
 		opts.ManagerHook(s.m)
 	}
+	s.m.SetContext(ctx)
 	var out []Filling
 	err := s.m.Protect(func() error {
 		p, _, err := s.formulaWithStats(ctx)

@@ -63,7 +63,10 @@ func BuildSymbolic(ctx context.Context, r *routing.Routing, k int, opts Options)
 	}
 	m.Observe(opts.Counters)
 	s := &Symbolic{M: m, r: r, k: k}
+	// The returned Manager outlives ctx, so it only polls ctx while building.
+	m.SetContext(ctx)
 	err := m.Protect(func() error { return s.build(ctx) })
+	m.SetContext(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,10 @@ func goldenObserver() *obs.Observer {
 	o.BDD().GCRuns.Add(3)
 	o.BDD().NodesFreed.Add(120)
 	o.BDD().Reorders.Add(1)
+	o.BDD().GCNanos.Add(2500000)
+	o.BDD().ReorderNanos.Add(9000000)
 	o.BDD().PeakNodes.SetMax(4096)
+	o.BDD().CacheOccupancy.Set(375)
 	o.Verify().Scenarios.Add(29)
 	o.Verify().Traces.Add(174)
 	o.Verify().Failing.Add(3)

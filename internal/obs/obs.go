@@ -53,6 +53,14 @@ const (
 	BDDReorders       = "syrep_bdd_reorders_total"
 	BDDPeakNodes      = "syrep_bdd_peak_nodes"
 
+	// Time the BDD engine spends garbage-collecting and reordering
+	// (reorder time includes the collections sifting runs), and the share
+	// of computed-cache slots, in permille, filled by the last cache
+	// generation to end (GC, reorder swap, cache resize or Manager reset).
+	BDDGCNanos        = "syrep_bdd_gc_ns_total"
+	BDDReorderNanos   = "syrep_bdd_reorder_ns_total"
+	BDDCacheOccupancy = "syrep_bdd_cache_occupancy_permille"
+
 	VerifyScenarios = "syrep_verify_scenarios_total"
 	VerifyTraces    = "syrep_verify_traces_total"
 	VerifyFailing   = "syrep_verify_failing_total"
@@ -326,8 +334,9 @@ type Sink interface {
 }
 
 // BDDCounters are the taps the BDD engine registers (bdd.Manager.Observe):
-// node allocations and peak, hash-consing traffic, apply-cache hit rate,
-// garbage collection, and reordering passes.
+// node allocations and peak, hash-consing traffic, apply-cache hit rate and
+// occupancy, garbage collection, and reordering passes, with the time spent
+// in each.
 type BDDCounters struct {
 	MkCalls        *Counter
 	NodesAllocated *Counter
@@ -336,7 +345,10 @@ type BDDCounters struct {
 	GCRuns         *Counter
 	NodesFreed     *Counter
 	Reorders       *Counter
+	GCNanos        *Counter
+	ReorderNanos   *Counter
 	PeakNodes      *Gauge
+	CacheOccupancy *Gauge
 }
 
 // VerifyCounters are the taps the verification backends register: scenarios
@@ -473,7 +485,10 @@ func (o *Observer) BDD() *BDDCounters {
 			GCRuns:         o.counterLocked(BDDGCRuns),
 			NodesFreed:     o.counterLocked(BDDNodesFreed),
 			Reorders:       o.counterLocked(BDDReorders),
+			GCNanos:        o.counterLocked(BDDGCNanos),
+			ReorderNanos:   o.counterLocked(BDDReorderNanos),
 			PeakNodes:      o.gaugeLocked(BDDPeakNodes),
+			CacheOccupancy: o.gaugeLocked(BDDCacheOccupancy),
 		}
 	}
 	return o.bddC

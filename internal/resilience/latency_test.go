@@ -82,3 +82,29 @@ func TestCancellationLatencyBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestDeadlineInsideBDDOperation: a run whose deadline expires in the middle
+// of one large BDD operation still returns promptly. Renater/Montpellier at
+// k=2 spends its time in repair conjunctions that each run for seconds, so
+// polling the context only between fixpoint sweeps overran a 3 s limit by
+// more than 6 s; the BDD manager now polls it during the operation itself.
+func TestDeadlineInsideBDDOperation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs for the full deadline")
+	}
+	const limit = 3 * time.Second
+	renater := zooInstance(t, "Renater")
+	dest := renater.Net.NodeByName("Montpellier")
+	start := time.Now()
+	_, _, err := resilience.Synthesize(ctx, renater.Net, dest, 2, resilience.Options{
+		Strategy: resilience.Combined,
+		Timeout:  limit,
+	})
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatalf("run resolved within %s; the instance no longer exercises the deadline", elapsed)
+	}
+	if elapsed > 2*limit {
+		t.Errorf("run took %s, want at most %s (2x its %s limit)", elapsed, 2*limit, limit)
+	}
+}
