@@ -1,5 +1,7 @@
 package bdd
 
+import "math/bits"
+
 // The computed cache, BuDDy/CUDD-style: a direct-mapped array of packed
 // entries. A store overwrites whatever shared its slot, so the cache is
 // lossy — a later lookup of the evicted operation misses and the operation is
@@ -75,10 +77,7 @@ func (m *Manager) cachePut(k cacheKey, r Ref) {
 // starts a new generation.
 func (m *Manager) resizeCache(n int) {
 	m.cache = make([]cacheEntry, n)
-	m.cacheShift = 64
-	for s := n; s > 1; s >>= 1 {
-		m.cacheShift--
-	}
+	m.cacheShift = uint8(64 - bits.TrailingZeros(uint(n)))
 	m.invalidateCache()
 }
 

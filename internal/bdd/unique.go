@@ -1,5 +1,7 @@
 package bdd
 
+import "math/bits"
+
 // The unique table, CUDD-style: one open-hash subtable per level. A
 // subtable is a power-of-two array of bucket heads; the nodes of a bucket
 // are chained through node.next, so the table costs one Ref per bucket on
@@ -45,18 +47,23 @@ func (m *Manager) lookup(st *subtable, low, high Ref) Ref {
 // link chains the live node r into the subtable of its level and grows the
 // subtable once it passes load factor 1.
 func (m *Manager) link(r Ref) {
-	n := &m.nodes[r]
-	st := &m.levels[n.level]
+	st := &m.levels[m.nodes[r].level]
 	if len(st.buckets) == 0 {
 		st.resize(minBuckets)
 	}
+	m.chain(st, r)
+	if int(st.count) > len(st.buckets) {
+		m.grow(st)
+	}
+}
+
+// chain pushes node r onto the head of its bucket in st.
+func (m *Manager) chain(st *subtable, r Ref) {
+	n := &m.nodes[r]
 	h := st.slot(n.low, n.high)
 	n.next = st.buckets[h]
 	st.buckets[h] = r
 	st.count++
-	if int(st.count) > len(st.buckets) {
-		m.grow(st)
-	}
 }
 
 // resize makes buckets an empty array of n (a power of two) heads, reusing
@@ -68,10 +75,7 @@ func (st *subtable) resize(n int) {
 	} else {
 		st.buckets = make([]Ref, n)
 	}
-	st.shift = 64
-	for s := n; s > 1; s >>= 1 {
-		st.shift--
-	}
+	st.shift = uint8(64 - bits.TrailingZeros(uint(n)))
 }
 
 // grow doubles a subtable and rehashes its chains. The nodes are relinked in
@@ -82,12 +86,8 @@ func (m *Manager) grow(st *subtable) {
 	refs := m.unlinkAll(st, m.growScratch[:0])
 	st.resize(2 * len(st.buckets))
 	for _, r := range refs {
-		n := &m.nodes[r]
-		h := st.slot(n.low, n.high)
-		n.next = st.buckets[h]
-		st.buckets[h] = r
+		m.chain(st, r)
 	}
-	st.count = int32(len(refs))
 	m.growScratch = refs[:0]
 }
 
