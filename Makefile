@@ -43,6 +43,7 @@ fuzz-short:
 	$(GO) test ./internal/bdd -fuzz=FuzzMk -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bdd -fuzz=FuzzApplyGC -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/verify/poly -fuzz=FuzzPolyVerify -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/trace -fuzz=FuzzDelivers -fuzztime=$(FUZZTIME)
 
 # Deterministic fault-injection sweep under the race detector: the full
 # matrix (every fault point x kind x strategy) plus a seed-driven sample,
@@ -97,9 +98,12 @@ crash:
 # Verification-backend differential gate under the race detector: the
 # poly checker against the brute-force oracle on randomized corrupted
 # multigraphs (topozoo + parallel-edge + bounce modes, seed-keyed
-# reproduction), plus a short run of the brute-oracle fuzz target.
+# reproduction), the counterexample-guided solver against the eager
+# encoding (same filled tables, same unrepairable verdicts, cancellation
+# never swallowed), plus a short run of the brute-oracle fuzz target.
 verify-diff:
 	SYREP_VERIFY_DIFF_SEEDS=$(VERIFY_DIFF_SEEDS) $(GO) test -race -run 'TestDifferential|TestPoly|TestFailingOrder|TestResilientCtxFirst' -count=1 ./internal/verify/ ./internal/verify/poly/
+	$(GO) test -race -run 'TestLazy|TestSolveNeverSwallowsCancellation|TestDelivers' -count=1 ./internal/encode/ ./internal/trace/
 	$(GO) test ./internal/verify/poly -fuzz=FuzzPolyVerify -fuzztime=$(FUZZTIME)
 
 # All-destinations batch gate under the race detector: the batch

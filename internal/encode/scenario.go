@@ -16,7 +16,9 @@
 //     same P restricted to the holes, and it is what makes repair fast: few
 //     holes mean few BDD variables. With every entry a hole it degrades into
 //     full synthesis from scratch — the SyPer baseline the paper compares
-//     against.
+//     against. Solve conjoins only the scenarios that refute a candidate
+//     filling (counterexample-guided); SolveEager and Enumerate conjoin
+//     them all.
 //
 //   - The symbolic engine (symbolic.go) is the literal formulation with
 //     symbolic failure vectors and universal quantification, faithful to the
@@ -37,6 +39,7 @@ import (
 	"syrep/internal/obs"
 	"syrep/internal/routing"
 	"syrep/internal/trace"
+	"syrep/internal/verify"
 )
 
 // ErrUnrepairable is returned when no assignment of the holes makes the
@@ -107,13 +110,24 @@ func (o Options) withDefaults() Options {
 type Solution struct {
 	// Routing is the input routing with every hole filled.
 	Routing *routing.Routing
-	// NumSolutions is the number of distinct hole assignments that achieve
-	// k-resilience (can be fractional-free large; float64 like SatCount).
+	// NumSolutions is the number of distinct hole assignments that satisfy
+	// the encoded constraints (can be fractional-free large; float64 like
+	// SatCount). On the eager path (SolveEager) every scenario is encoded, so
+	// it counts the assignments that achieve k-resilience; Solve encodes only
+	// the refuting scenarios, so there it is an upper bound on that count.
 	NumSolutions float64
-	// Scenarios is the number of failure scenarios conjoined.
+	// Scenarios is the number of failure scenarios |F| <= k of the instance
+	// that were examined: conjoined on the eager path, checked by the final
+	// concrete verification on the counterexample-guided one.
 	Scenarios int
-	// SymbolicScenarios counts scenarios that actually required symbolic
-	// evaluation (some trace reached a hole).
+	// ScenariosEncoded is the number of failure scenarios whose constraint
+	// was conjoined into the formula.
+	ScenariosEncoded int
+	// CheckRounds is the number of candidate fillings Solve extracted and
+	// checked by brute-force verification (0 on the eager path).
+	CheckRounds int
+	// SymbolicScenarios counts encoded scenarios that actually required
+	// symbolic evaluation (some trace reached a hole).
 	SymbolicScenarios int
 	// PeakNodes is the maximum live BDD node count observed.
 	PeakNodes int
@@ -151,6 +165,12 @@ type solver struct {
 	// stateID indexes (in-edge, node) pairs densely.
 	stateID map[routing.Key]int
 	states  []routing.Key
+	// p is the conjunction of the hole domains and every scenario
+	// constraint encoded so far. It is the only protected ref between
+	// scenarios.
+	p bdd.Ref
+	// sol accumulates the run statistics.
+	sol Solution
 	// peak tracks the maximum live BDD node count observed.
 	peak int
 }
@@ -160,13 +180,64 @@ type solver struct {
 // modified. It fails with ErrUnrepairable when the holes cannot be filled,
 // with bdd.ErrNodeLimit when the computation exceeds the node budget, and
 // with ctx.Err() on cancellation.
+//
+// Solve is counterexample-guided: it encodes the all-up scenario, extracts
+// the candidate filling, checks it by brute force at k, conjoins the
+// constraints of the scenarios that refute it, and repeats until a
+// candidate verifies. Only scenarios some candidate fails are encoded.
+// Without a reorder (see Options.DisableReorder) the filled routing is the
+// one SolveEager returns: extract picks the smallest satisfying assignment
+// in level order, the full formula implies the encoded subset, and the
+// subset's smallest element verifies, so it is also the full formula's
+// smallest element. An empty subset formula means an empty full formula, so
+// ErrUnrepairable agrees as well.
 func Solve(ctx context.Context, r *routing.Routing, k int, opts Options) (*Solution, error) {
+	return solve(ctx, r, k, opts, (*solver).cegis)
+}
+
+// SolveEager is Solve with the paper's eager encoding: it conjoins the
+// constraint of every failure scenario |F| <= k before extracting the
+// filling. It is the SyPer-style baseline's engine and the oracle Solve is
+// tested against.
+func SolveEager(ctx context.Context, r *routing.Routing, k int, opts Options) (*Solution, error) {
+	return solve(ctx, r, k, opts, (*solver).eager)
+}
+
+// solve runs one solve on a fresh solver: fill builds the formula in s.p
+// and returns the filled routing.
+func solve(ctx context.Context, r *routing.Routing, k int, opts Options, fill func(*solver) (*routing.Routing, error)) (*Solution, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("encode: negative resilience level %d", k)
 	}
+	s, release := newSolver(ctx, r, k, opts)
+	defer release()
+	s.m.Observe(s.opts.Counters)
+	var sol *Solution
+	err := s.m.Protect(func() error {
+		if err := s.init(); err != nil {
+			return err
+		}
+		filled, err := fill(s)
+		if err != nil {
+			return err
+		}
+		sol = &s.sol
+		sol.Routing = filled
+		sol.NumSolutions = s.countSolutions(s.p)
+		sol.PeakNodes = s.peak
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// newSolver checks out a Manager for one solve and returns the solver with
+// the Manager's release func.
+func newSolver(ctx context.Context, r *routing.Routing, k int, opts Options) (*solver, func()) {
 	opts = opts.withDefaults()
 	m, release := opts.manager()
-	defer release()
 	s := &solver{
 		m:      m,
 		net:    r.Network(),
@@ -177,134 +248,160 @@ func Solve(ctx context.Context, r *routing.Routing, k int, opts Options) (*Solut
 		holeAt: make(map[routing.Key]*hole),
 	}
 	if opts.ManagerHook != nil {
-		opts.ManagerHook(s.m)
+		opts.ManagerHook(m)
 	}
-	s.m.Observe(opts.Counters)
-	s.m.SetContext(ctx)
-	var sol *Solution
-	err := s.m.Protect(func() error {
-		var err error
-		sol, err = s.run(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sol, nil
+	m.SetContext(ctx)
+	return s, release
 }
 
-func (s *solver) run(ctx context.Context) (*Solution, error) {
-	p, sol, err := s.formulaWithStats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	filled, err := s.extract(p)
-	if err != nil {
-		return nil, err
-	}
-	sol.Routing = filled
-	sol.NumSolutions = s.countSolutions(p)
-	sol.PeakNodes = s.peak
-	return sol, nil
-}
-
-// formulaWithStats computes P over the holes, garbage-collecting between
-// scenarios, and reports run statistics.
-func (s *solver) formulaWithStats(ctx context.Context) (bdd.Ref, *Solution, error) {
+// init builds the hole variables and the state space, and starts p as the
+// conjunction of the hole domains.
+func (s *solver) init() error {
 	if err := s.buildHoles(); err != nil {
-		return bdd.False, nil, err
+		return err
 	}
 	s.buildStates()
-
-	m := s.m
 	p := bdd.True
 	for _, h := range s.holes {
-		p = m.And(p, h.domain)
+		p = s.m.And(p, h.domain)
 	}
 	if p == bdd.False {
-		return bdd.False, nil, ErrUnrepairable
+		return ErrUnrepairable
 	}
-	m.Ref(p)
+	s.p = s.m.Ref(p)
+	return nil
+}
 
-	sol := &Solution{}
-
-	// processScenario conjoins one scenario's constraint into p. It runs
-	// under a nested Protect so that a node-limit overflow inside a single
-	// conjunction can be recovered: garbage-collect, sift, retry once.
-	processScenario := func(F network.EdgeSet) (bool, error) {
-		attempt := func() (newP bdd.Ref, falsified bool, err error) {
-			err = m.Protect(func() error {
-				contrib, symbolic := s.scenarioConstraint(F)
-				if symbolic {
-					sol.SymbolicScenarios++
-				}
-				if contrib == bdd.True {
-					newP = p
-					return nil
-				}
-				next := m.And(p, contrib)
-				m.Ref(next)
-				m.Deref(p)
-				newP = next
-				falsified = next == bdd.False
-				return nil
-			})
-			return newP, falsified, err
-		}
-		newP, falsified, err := attempt()
-		if err == bdd.ErrNodeLimit && !s.opts.DisableReorder && ctx.Err() == nil {
-			// Recovery: only p is protected; reclaim everything else, find
-			// a better order, and retry this scenario once. Skip when the
-			// live table is itself huge — sifting it would cost more than
-			// the remaining budget and a blown-up p is rarely rescued.
-			m.GC()
-			if m.NumNodes() <= 1<<20 {
-				m.Reorder(bdd.ReorderConfig{MaxVars: 12, MaxSwaps: 1024})
-				sol.Reorders++
-				if ctx.Err() == nil {
-					newP, falsified, err = attempt()
-				}
-			}
-		}
-		if err != nil {
-			return false, err
-		}
-		p = newP
-		s.trackPeak()
-		return !falsified, nil
+// eager conjoins every failure scenario into p and extracts the filling.
+func (s *solver) eager() (*routing.Routing, error) {
+	if err := s.encodeAll(); err != nil {
+		return nil, err
 	}
+	return s.extract(s.p)
+}
 
-	var loopErr error
+// encodeAll conjoins the constraint of every failure scenario |F| <= k into
+// p.
+func (s *solver) encodeAll() error {
+	var err error
 	s.net.ForEachScenario(s.k, func(F network.EdgeSet) bool {
-		if err := ctx.Err(); err != nil {
-			loopErr = err
+		if err = s.ctx.Err(); err != nil {
 			return false
 		}
-		sol.Scenarios++
-		keepGoing, err := processScenario(F)
-		if err != nil {
-			loopErr = err
-			return false
-		}
-		if !keepGoing {
-			return false
-		}
-		// Between scenarios only p is live, making this a safe point for
-		// garbage collection. Dynamic reordering is reserved for overflow
-		// recovery (processScenario): proactive sifting costs more than it
-		// saves on instances that fit the node budget anyway.
-		if m.NumNodes() > s.opts.GCThreshold {
-			m.GC()
-		}
-		return true
+		s.sol.Scenarios++
+		err = s.conjoin(F)
+		return err == nil
 	})
-	if loopErr != nil {
-		return bdd.False, nil, loopErr
+	return err
+}
+
+// cegis is the counterexample-guided loop of Solve: extract a candidate
+// from p, verify it by brute force, and conjoin the refuting scenarios not
+// yet encoded, until a candidate verifies. Each round adds at least one
+// scenario, because the scenario constraints are exact: a candidate in p
+// satisfies every encoded scenario. The check runs with Prune, so a
+// superset scenario failing through the same entries as a reported one is
+// left for a later round, where the repaired candidate usually passes it.
+func (s *solver) cegis() (*routing.Routing, error) {
+	encoded := make(map[string]bool)
+	allUp := network.NewEdgeSet(s.net.NumRealEdges())
+	encoded[allUp.Key()] = true
+	if err := s.conjoin(allUp); err != nil {
+		return nil, err
 	}
-	if p == bdd.False {
-		return bdd.False, nil, ErrUnrepairable
+	for {
+		cand, err := s.extract(s.p)
+		if err != nil {
+			return nil, err
+		}
+		s.sol.CheckRounds++
+		rep, err := verify.Check(s.ctx, cand, s.k, verify.Options{Prune: true})
+		if err != nil {
+			return nil, err
+		}
+		if rep.Resilient {
+			s.sol.Scenarios = rep.Scenarios
+			return cand, nil
+		}
+		added := false
+		for _, f := range rep.Failing {
+			key := f.Failed.Key()
+			if encoded[key] {
+				continue
+			}
+			encoded[key] = true
+			if err := s.ctx.Err(); err != nil {
+				return nil, err
+			}
+			if err := s.conjoin(f.Failed); err != nil {
+				return nil, err
+			}
+			added = true
+		}
+		if !added {
+			return nil, fmt.Errorf("encode: internal error: candidate refuted only by encoded scenarios")
+		}
 	}
-	return p, sol, nil
+}
+
+// conjoin conjoins the constraint of scenario F into p, failing with
+// ErrUnrepairable when p becomes False. It runs under a nested Protect so
+// that a node-limit overflow inside a single conjunction can be recovered:
+// garbage-collect, sift, retry once. Between scenarios only p is live,
+// making the end of conjoin a safe point for garbage collection. Dynamic
+// reordering is reserved for that overflow recovery: proactive sifting
+// costs more than it saves on instances that fit the node budget anyway.
+func (s *solver) conjoin(F network.EdgeSet) error {
+	m := s.m
+	s.sol.ScenariosEncoded++
+	attempt := func() error {
+		return m.Protect(func() error {
+			contrib, symbolic, err := s.scenarioConstraint(F)
+			if err != nil {
+				return err
+			}
+			if symbolic {
+				s.sol.SymbolicScenarios++
+			}
+			if contrib == bdd.True {
+				return nil
+			}
+			old := s.p
+			s.p = m.Ref(m.And(old, contrib))
+			m.Deref(old)
+			return nil
+		})
+	}
+	err := attempt()
+	if err == bdd.ErrNodeLimit && !s.opts.DisableReorder {
+		// Recovery: only p is protected; reclaim everything else, find a
+		// better order, and retry this scenario once. Skip when the live
+		// table is itself huge — sifting it would cost more than the
+		// remaining budget and a blown-up p is rarely rescued.
+		if cerr := s.ctx.Err(); cerr != nil {
+			return cerr
+		}
+		m.GC()
+		if m.NumNodes() <= 1<<20 {
+			m.Reorder(bdd.ReorderConfig{MaxVars: 12, MaxSwaps: 1024})
+			s.sol.Reorders++
+			if cerr := s.ctx.Err(); cerr != nil {
+				return cerr
+			}
+			err = attempt()
+		}
+	}
+	if err != nil {
+		return err
+	}
+	s.trackPeak()
+	if s.p == bdd.False {
+		return ErrUnrepairable
+	}
+	if m.NumNodes() > s.opts.GCThreshold {
+		m.GC()
+	}
+	return nil
 }
 
 func (s *solver) trackPeak() {
@@ -388,7 +485,7 @@ func (s *solver) buildStates() {
 // the destination in G∖F of the deliverability of the source under F, as a
 // BDD over the hole variables. The boolean result reports whether symbolic
 // evaluation was required.
-func (s *solver) scenarioConstraint(F network.EdgeSet) (bdd.Ref, bool) {
+func (s *solver) scenarioConstraint(F network.EdgeSet) (bdd.Ref, bool, error) {
 	net := s.net
 	dest := s.r.Dest()
 	reach := net.ReachableWithout(dest, F)
@@ -410,18 +507,16 @@ func (s *solver) scenarioConstraint(F network.EdgeSet) (bdd.Ref, bool) {
 		default:
 			// Dropped or looped without any hole involvement: no hole
 			// assignment can fix this trace.
-			return bdd.False, false
+			return bdd.False, false, nil
 		}
 	}
 	if len(symbolicSources) == 0 {
-		return bdd.True, false
+		return bdd.True, false, nil
 	}
 
 	d, err := s.fixpoint(F)
 	if err != nil {
-		// Cancellation: report an inconclusive True; the caller re-checks
-		// ctx before using the result.
-		return bdd.True, true
+		return bdd.False, true, err
 	}
 	m := s.m
 	out := bdd.True
@@ -432,7 +527,7 @@ func (s *solver) scenarioConstraint(F network.EdgeSet) (bdd.Ref, bool) {
 			break
 		}
 	}
-	return out, true
+	return out, true, nil
 }
 
 // fixpoint computes D_F for every state: the BDD over hole variables under
@@ -601,29 +696,17 @@ func Enumerate(ctx context.Context, r *routing.Routing, k int, opts Options, max
 	if k < 0 {
 		return nil, fmt.Errorf("encode: negative resilience level %d", k)
 	}
-	opts = opts.withDefaults()
-	m, release := opts.manager()
+	s, release := newSolver(ctx, r, k, opts)
 	defer release()
-	s := &solver{
-		m:      m,
-		net:    r.Network(),
-		r:      r,
-		k:      k,
-		opts:   opts,
-		ctx:    ctx,
-		holeAt: make(map[routing.Key]*hole),
-	}
-	if opts.ManagerHook != nil {
-		opts.ManagerHook(s.m)
-	}
-	s.m.SetContext(ctx)
 	var out []Filling
 	err := s.m.Protect(func() error {
-		p, _, err := s.formulaWithStats(ctx)
-		if err != nil {
+		if err := s.init(); err != nil {
 			return err
 		}
-		out = s.enumerate(p, max)
+		if err := s.encodeAll(); err != nil {
+			return err
+		}
+		out = s.enumerate(s.p, max)
 		return nil
 	})
 	if err != nil {

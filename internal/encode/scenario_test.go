@@ -64,14 +64,24 @@ func TestRepairRunningExample(t *testing.T) {
 		t.Fatalf("repaired routing is not 2-resilient:\n%s\nfailures: %v",
 			sol.Routing, ok.Failing)
 	}
-	if sol.NumSolutions < 1 {
-		t.Errorf("NumSolutions = %v, want >= 1", sol.NumSolutions)
-	}
-	if sol.Scenarios != 29 { // C(7,0)+C(7,1)+C(7,2)
-		t.Errorf("Scenarios = %d, want 29", sol.Scenarios)
-	}
 	if sol.SymbolicScenarios == 0 {
 		t.Error("expected at least one symbolic scenario")
+	}
+
+	// The eager entry point encodes every scenario, so its statistics are
+	// exact; the lazy filling must be the eager one.
+	eager, err := encode.SolveEager(ctx, r, 2, encode.Options{})
+	if err != nil {
+		t.Fatalf("SolveEager: %v", err)
+	}
+	if eager.NumSolutions < 1 {
+		t.Errorf("NumSolutions = %v, want >= 1", eager.NumSolutions)
+	}
+	if eager.Scenarios != 29 { // C(7,0)+C(7,1)+C(7,2)
+		t.Errorf("Scenarios = %d, want 29", eager.Scenarios)
+	}
+	if !sol.Routing.Equal(eager.Routing) {
+		t.Errorf("lazy filling differs from eager:\nlazy:\n%s\neager:\n%s", sol.Routing, eager.Routing)
 	}
 }
 
@@ -112,9 +122,9 @@ func TestFigure2AllSolutions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sol, err := encode.Solve(ctx, r, 2, encode.Options{})
+	sol, err := encode.SolveEager(ctx, r, 2, encode.Options{})
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("SolveEager: %v", err)
 	}
 	if sol.NumSolutions != 6 {
 		t.Errorf("NumSolutions = %v, want 6 (all permutations)", sol.NumSolutions)

@@ -40,6 +40,8 @@ func goldenObserver() *obs.Observer {
 	o.Verify().PolyVisits.Add(611)
 	o.Repair().Iterations.Add(2)
 	o.Repair().HolesPunched.Add(7)
+	o.Repair().CheckRounds.Add(5)
+	o.Repair().ScenariosEncoded.Add(41)
 	o.Counter(obs.CtlDupSkips).Add(4)
 	o.Counter(obs.JournalAppends).Add(321)
 	o.Counter(obs.JournalSyncs).Add(107)

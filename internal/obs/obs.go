@@ -76,6 +76,11 @@ const (
 
 	RepairIterations   = "syrep_repair_iterations_total"
 	RepairHolesPunched = "syrep_repair_holes_punched_total"
+	// Counterexample-guided solving (encode.Solve): candidate fillings
+	// checked by brute-force verification, and failure scenarios whose
+	// constraint was conjoined, across the successful solves.
+	RepairCheckRounds      = "syrep_repair_check_rounds_total"
+	RepairScenariosEncoded = "syrep_repair_scenarios_encoded_total"
 
 	// Cross-request synthesis cache (internal/cache). Counters tick on
 	// lookups; the gauges mirror the cache's current footprint.
@@ -370,10 +375,13 @@ type VerifyCounters struct {
 }
 
 // RepairCounters are the taps the repair engine registers: BDD solve
-// iterations (one per attempted hole set) and holes punched across them.
+// iterations (one per attempted hole set), holes punched across them, and
+// the successful solves' check rounds and encoded scenarios.
 type RepairCounters struct {
-	Iterations   *Counter
-	HolesPunched *Counter
+	Iterations       *Counter
+	HolesPunched     *Counter
+	CheckRounds      *Counter
+	ScenariosEncoded *Counter
 }
 
 // stageAgg accumulates the per-stage span aggregate.
@@ -528,8 +536,10 @@ func (o *Observer) Repair() *RepairCounters {
 	defer o.mu.Unlock()
 	if o.repairC == nil {
 		o.repairC = &RepairCounters{
-			Iterations:   o.counterLocked(RepairIterations),
-			HolesPunched: o.counterLocked(RepairHolesPunched),
+			Iterations:       o.counterLocked(RepairIterations),
+			HolesPunched:     o.counterLocked(RepairHolesPunched),
+			CheckRounds:      o.counterLocked(RepairCheckRounds),
+			ScenariosEncoded: o.counterLocked(RepairScenariosEncoded),
 		}
 	}
 	return o.repairC

@@ -75,8 +75,9 @@ type Options struct {
 	// avoid verifying the same routing twice.
 	Report *verify.Report
 	// Counters, when non-nil, receives the repair counter stream: one
-	// iteration per hole-set solve attempted and the number of holes punched
-	// across all attempts. Nil means unobserved.
+	// iteration per hole-set solve attempted, the number of holes punched
+	// across all attempts, and the check rounds and encoded scenarios of
+	// the successful solve. Nil means unobserved.
 	Counters *obs.RepairCounters
 }
 
@@ -155,6 +156,8 @@ func Repair(ctx context.Context, r *routing.Routing, k int, opts Options) (*Outc
 		if err != nil {
 			return nil, err
 		}
+		counters.CheckRounds.Add(int64(sol.CheckRounds))
+		counters.ScenariosEncoded.Add(int64(sol.ScenariosEncoded))
 		return &Outcome{
 			Routing:    sol.Routing,
 			Suspicious: len(suspicious),

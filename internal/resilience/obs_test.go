@@ -108,6 +108,14 @@ func TestRepairObserved(t *testing.T) {
 	if got := snap.Counter(obs.RepairHolesPunched); got < int64(out.Removed) {
 		t.Errorf("holes punched counter = %d, below outcome.Removed = %d", got, out.Removed)
 	}
+	if got := snap.Counter(obs.RepairCheckRounds); got < 1 {
+		t.Errorf("check rounds = %d, want >= 1", got)
+	}
+	// Figure 1 has 29 scenarios with |F| <= 2; the all-up one is always
+	// encoded.
+	if got := snap.Counter(obs.RepairScenariosEncoded); got < 1 || got > 29 {
+		t.Errorf("scenarios encoded = %d, want 1..29", got)
+	}
 	if snap.Counter(obs.BDDMkCalls) == 0 {
 		t.Error("repair solved a BDD instance but mk counted nothing")
 	}

@@ -17,13 +17,14 @@ import (
 // Baseline synthesises a perfectly k-resilient routing for dest from
 // scratch, with priority lists of length k+1 (clamped to node degree). It
 // returns encode.ErrUnrepairable when no perfectly k-resilient routing with
-// such lists exists.
+// such lists exists. Like SyPer it conjoins every failure scenario
+// (encode.SolveEager) rather than only the refuting ones.
 func Baseline(ctx context.Context, net *network.Network, dest network.NodeID, k int, opts encode.Options) (*encode.Solution, error) {
 	empty, err := Holes(net, dest, k)
 	if err != nil {
 		return nil, err
 	}
-	return encode.Solve(ctx, empty, k, opts)
+	return encode.SolveEager(ctx, empty, k, opts)
 }
 
 // Holes returns an all-holes routing for dest with list length k+1, the

@@ -150,3 +150,27 @@ func Run(r *routing.Routing, failed network.EdgeSet, source network.NodeID) Resu
 		}
 	}
 }
+
+// Delivers reports whether the trace from source under routing r and
+// failure scenario failed reaches the destination; it is equivalent to
+// Run(r, failed, source).Outcome == Delivered but records nothing and
+// allocates nothing. Forwarding is deterministic, so a walk that revisits
+// an (in-edge, node) state loops forever. There are at most 2·NumEdges such
+// states (each real edge entered from either end, plus the loop-backs), so
+// a walk that has not delivered within that many steps has looped.
+func Delivers(r *routing.Routing, failed network.EdgeSet, source network.NodeID) bool {
+	n := r.Network()
+	dest := r.Dest()
+	in, at := n.Loopback(source), source
+	for steps := 2 * n.NumEdges(); at != dest; steps-- {
+		if steps < 0 {
+			return false
+		}
+		out, status := Step(r, failed, in, at)
+		if status != StepForwarded {
+			return false
+		}
+		in, at = out, n.Other(out, at)
+	}
+	return true
+}

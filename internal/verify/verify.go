@@ -183,10 +183,10 @@ func checkSequential(ctx context.Context, r *routing.Routing, k int, opts Option
 			}
 			rep.Traces++
 			opts.Counters.Traces.Inc()
-			res := trace.Run(r, F, s)
-			if res.Outcome == trace.Delivered {
+			if trace.Delivers(r, F, s) {
 				continue
 			}
+			res := trace.Run(r, F, s)
 			rep.Resilient = false
 			rep.record(FailingDelivery{
 				Source:  s,
@@ -356,10 +356,10 @@ func checkParallel(ctx context.Context, r *routing.Routing, k int, opts Options)
 					}
 					p.traces++
 					opts.Counters.Traces.Inc()
-					res := trace.Run(r, F, s)
-					if res.Outcome == trace.Delivered {
+					if trace.Delivers(r, F, s) {
 						continue
 					}
+					res := trace.Run(r, F, s)
 					p.failed = true
 					f := FailingDelivery{
 						Source:  s,
@@ -486,10 +486,10 @@ func checkParallelStopAtFirst(ctx context.Context, r *routing.Routing, k int, op
 						continue
 					}
 					scenTraces++
-					res := trace.Run(r, F, s)
-					if res.Outcome == trace.Delivered {
+					if trace.Delivers(r, F, s) {
 						continue
 					}
+					res := trace.Run(r, F, s)
 					// First failing source of this scenario in node order —
 					// the delivery sequential would report if this is the
 					// first failing scenario overall.
