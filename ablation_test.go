@@ -10,12 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"syrep/internal/core"
 	"syrep/internal/encode"
 	"syrep/internal/heuristic"
 	"syrep/internal/papernet"
 	"syrep/internal/reduce"
 	"syrep/internal/repair"
+	"syrep/internal/resilience"
 	"syrep/internal/topozoo"
 )
 
@@ -61,8 +61,8 @@ func benchReductionRule(b *testing.B, rule reduce.Rule) {
 	inst := ablationInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := core.Synthesize(context.Background(), inst.Net, inst.Dest, 2, core.Options{
-			Strategy:  core.Combined,
+		_, _, err := resilience.Synthesize(context.Background(), inst.Net, inst.Dest, 2, resilience.Options{
+			Strategy:  resilience.Combined,
 			Reduction: rule,
 			Timeout:   20 * time.Second,
 		})
@@ -76,8 +76,8 @@ func BenchmarkAblationNoReduction(b *testing.B) {
 	inst := ablationInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := core.Synthesize(context.Background(), inst.Net, inst.Dest, 2, core.Options{
-			Strategy: core.HeuristicOnly,
+		_, _, err := resilience.Synthesize(context.Background(), inst.Net, inst.Dest, 2, resilience.Options{
+			Strategy: resilience.HeuristicOnly,
 			Timeout:  20 * time.Second,
 		})
 		if err != nil {
@@ -106,11 +106,11 @@ func BenchmarkAblationRepairVsResynthesis(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The baseline may exceed the budget on this instance — that IS
 			// the ablation's point; count the bounded attempt either way.
-			_, _, err := core.Synthesize(context.Background(), inst.Net, inst.Dest, 2, core.Options{
-				Strategy: core.Baseline,
+			_, _, err := resilience.Synthesize(context.Background(), inst.Net, inst.Dest, 2, resilience.Options{
+				Strategy: resilience.Baseline,
 				Timeout:  20 * time.Second,
 			})
-			if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, core.ErrUnsolvable) {
+			if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, resilience.ErrUnsolvable) {
 				b.Fatal(err)
 			}
 		}

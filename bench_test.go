@@ -25,12 +25,12 @@ import (
 
 	"syrep/internal/bdd"
 	"syrep/internal/benchmark"
-	"syrep/internal/core"
 	"syrep/internal/encode"
 	"syrep/internal/heuristic"
 	"syrep/internal/papernet"
 	"syrep/internal/reduce"
 	"syrep/internal/repair"
+	"syrep/internal/resilience"
 	"syrep/internal/routing"
 	"syrep/internal/topozoo"
 	"syrep/internal/verify"
@@ -58,7 +58,7 @@ func benchConfig(k int) benchmark.Config {
 	return benchmark.Config{
 		K:       k,
 		Timeout: 5 * time.Second,
-		Methods: []core.Strategy{core.Baseline, core.HeuristicOnly, core.ReductionOnly, core.Combined},
+		Methods: []resilience.Strategy{resilience.Baseline, resilience.HeuristicOnly, resilience.ReductionOnly, resilience.Combined},
 	}
 }
 
@@ -80,7 +80,7 @@ func benchFig7(b *testing.B, k int, ratio bool) {
 		results := benchmark.Run(context.Background(), suite, cfg)
 		var err error
 		if ratio {
-			err = benchmark.WriteRatios(io.Discard, results, core.Combined, core.Baseline)
+			err = benchmark.WriteRatios(io.Discard, results, resilience.Combined, resilience.Baseline)
 		} else {
 			err = benchmark.WriteCactus(io.Discard, results, cfg.Methods)
 		}
@@ -97,11 +97,11 @@ func BenchmarkFig7dRatioK3(b *testing.B)  { benchFig7(b, 3, true) }
 
 func benchScatter(b *testing.B, byEdges bool) {
 	suite := benchSuite(14)
-	cfg := benchmark.Config{K: 2, Timeout: 5 * time.Second, Methods: []core.Strategy{core.Combined}}
+	cfg := benchmark.Config{K: 2, Timeout: 5 * time.Second, Methods: []resilience.Strategy{resilience.Combined}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results := benchmark.Run(context.Background(), suite, cfg)
-		if err := benchmark.WriteScatter(io.Discard, results, core.Combined, byEdges); err != nil {
+		if err := benchmark.WriteScatter(io.Discard, results, resilience.Combined, byEdges); err != nil {
 			b.Fatal(err)
 		}
 	}

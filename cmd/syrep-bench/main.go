@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"syrep/internal/benchmark"
-	"syrep/internal/core"
+	"syrep/internal/resilience"
 	"syrep/internal/topozoo"
 )
 
@@ -197,13 +197,13 @@ func fig7(ctx context.Context, w io.Writer, h *harness, suite []topozoo.Instance
 	}
 	if ratio {
 		fmt.Fprintf(w, "== Figure 7%s: combined/baseline runtime ratios (k=%d) ==\n", figLetter(k, true), k)
-		if err := benchmark.WriteRatios(w, results, core.Combined, core.Baseline); err != nil {
+		if err := benchmark.WriteRatios(w, results, resilience.Combined, resilience.Baseline); err != nil {
 			return err
 		}
 	} else {
 		fmt.Fprintf(w, "== Figure 7%s: cactus plot (k=%d) ==\n", figLetter(k, false), k)
 		if err := benchmark.WriteCactus(w, results,
-			[]core.Strategy{core.Baseline, core.HeuristicOnly, core.ReductionOnly, core.Combined}); err != nil {
+			[]resilience.Strategy{resilience.Baseline, resilience.HeuristicOnly, resilience.ReductionOnly, resilience.Combined}); err != nil {
 			return err
 		}
 	}
@@ -305,7 +305,7 @@ func fig89(ctx context.Context, w io.Writer, h *harness, suite []topozoo.Instanc
 			return err
 		}
 		fmt.Fprintf(w, "== Figure %s: %s vs runtime (combined, k=%d) ==\n", figName, axis, k)
-		if err := benchmark.WriteScatter(w, results, core.Combined, byEdges); err != nil {
+		if err := benchmark.WriteScatter(w, results, resilience.Combined, byEdges); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
@@ -316,19 +316,19 @@ func fig89(ctx context.Context, w io.Writer, h *harness, suite []topozoo.Instanc
 func renderAll(w io.Writer, results []benchmark.Result, k int) error {
 	fmt.Fprintf(w, "== Figure 7 (k=%d): cactus ==\n", k)
 	if err := benchmark.WriteCactus(w, results,
-		[]core.Strategy{core.Baseline, core.HeuristicOnly, core.ReductionOnly, core.Combined}); err != nil {
+		[]resilience.Strategy{resilience.Baseline, resilience.HeuristicOnly, resilience.ReductionOnly, resilience.Combined}); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n== Figure 7 (k=%d): combined/baseline ratios ==\n", k)
-	if err := benchmark.WriteRatios(w, results, core.Combined, core.Baseline); err != nil {
+	if err := benchmark.WriteRatios(w, results, resilience.Combined, resilience.Baseline); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n== Figure 8 (k=%d): edges vs runtime (combined) ==\n", k)
-	if err := benchmark.WriteScatter(w, results, core.Combined, true); err != nil {
+	if err := benchmark.WriteScatter(w, results, resilience.Combined, true); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n== Figure 9 (k=%d): nodes vs runtime (combined) ==\n", k)
-	if err := benchmark.WriteScatter(w, results, core.Combined, false); err != nil {
+	if err := benchmark.WriteScatter(w, results, resilience.Combined, false); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n== Summary (k=%d) ==\n", k)

@@ -52,7 +52,7 @@ import (
 	"syrep/internal/journal"
 	"syrep/internal/network"
 	"syrep/internal/obs"
-	"syrep/internal/server"
+	"syrep/internal/retry"
 	"syrep/internal/topozoo"
 )
 
@@ -171,7 +171,7 @@ func run(ctx context.Context, args []string, in io.Reader, w, errW io.Writer) er
 		K:       *k,
 		Sink:    sink,
 		Cache:   cache.New(cache.Config{MaxEntries: 1024, Obs: ob}),
-		Breaker: server.BreakerConfig{Threshold: 5, Cooldown: 5 * time.Second},
+		Breaker: retry.BreakerConfig{Threshold: 5, Cooldown: 5 * time.Second},
 		Obs:     ob,
 		Journal: jrn,
 		OnSettle: func(s controller.Settlement) {

@@ -42,6 +42,7 @@ import (
 	"syrep/internal/cache"
 	"syrep/internal/network"
 	"syrep/internal/obs"
+	"syrep/internal/retry"
 	"syrep/internal/server"
 	"syrep/internal/topozoo"
 	"syrep/internal/verify/poly"
@@ -93,7 +94,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Workers:       *workers,
 		QueueDepth:    *queue,
 		RetryMax:      *retries,
-		Breaker:       server.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
+		Breaker:       retry.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
 		DrainTimeout:  *drainTimeout,
 		Obs:           ob,
 		VerifyBackend: backend,

@@ -27,10 +27,10 @@ import (
 	"strings"
 	"time"
 
-	"syrep/internal/core"
 	"syrep/internal/network"
 	"syrep/internal/obs"
 	"syrep/internal/reduce"
+	"syrep/internal/resilience"
 	"syrep/internal/routing"
 	"syrep/internal/topozoo"
 	"syrep/internal/verify"
@@ -255,7 +255,7 @@ func cmdSynthesize(args []string, w io.Writer) error {
 		return err
 	}
 	ob := of.observer()
-	r, rep, err := core.Synthesize(context.Background(), net, d, *k, core.Options{
+	r, rep, err := resilience.Synthesize(context.Background(), net, d, *k, resilience.Options{
 		Strategy: s,
 		Timeout:  *timeout,
 		Obs:      ob,
@@ -264,7 +264,7 @@ func cmdSynthesize(args []string, w io.Writer) error {
 		return ferr
 	}
 	if err != nil {
-		if p, ok := core.AsPartial(err); ok {
+		if p, ok := resilience.AsPartial(err); ok {
 			printPartial(w, p)
 			if werr := emitRouting(w, p.Routing, *out); werr != nil {
 				return werr
@@ -313,12 +313,12 @@ func cmdSynthesizeAll(args []string, w io.Writer) error {
 		}
 	}
 	ob := of.observer()
-	results, rep, err := core.SynthesizeAll(context.Background(), net, *k, core.BatchOptions{
-		Run:     core.Options{Strategy: s, Timeout: *timeout, Obs: ob},
+	results, rep, err := resilience.SynthesizeAll(context.Background(), net, *k, resilience.BatchOptions{
+		Run:     resilience.Options{Strategy: s, Timeout: *timeout, Obs: ob},
 		Dests:   dests,
 		Workers: *workers,
 		Obs:     ob,
-		OnResult: func(res core.DestResult) {
+		OnResult: func(res resilience.DestResult) {
 			switch {
 			case res.Err != nil:
 				fmt.Fprintf(w, "  %-12s FAILED: %v\n", res.Name, res.Err)
@@ -439,13 +439,13 @@ func cmdRepair(args []string, w io.Writer) error {
 		return err
 	}
 	ob := of.observer()
-	outcome, err := core.Repair(context.Background(), r, *k,
-		core.Options{Timeout: *timeout, Obs: ob})
+	outcome, err := resilience.Repair(context.Background(), r, *k,
+		resilience.Options{Timeout: *timeout, Obs: ob})
 	if ferr := of.flush(ob, w); ferr != nil {
 		return ferr
 	}
 	if err != nil {
-		if p, ok := core.AsPartial(err); ok {
+		if p, ok := resilience.AsPartial(err); ok {
 			printPartial(w, p)
 			if werr := emitRouting(w, p.Routing, *out); werr != nil {
 				return werr
@@ -465,7 +465,7 @@ func cmdRepair(args []string, w io.Writer) error {
 // printPartial summarises an anytime-supervisor partial result: the run ran
 // out of budget or hit a fault, but still salvaged a complete (if not fully
 // resilient) routing that the caller may deploy or re-repair later.
-func printPartial(w io.Writer, p *core.Partial) {
+func printPartial(w io.Writer, p *resilience.Partial) {
 	fmt.Fprintf(w, "degraded: run cut short in stage %q (%v)\n",
 		p.Degradation.Stage, p.Degradation.Cause)
 	if p.ResidualUnknown {
@@ -475,16 +475,16 @@ func printPartial(w io.Writer, p *core.Partial) {
 	}
 }
 
-func parseStrategy(s string) (core.Strategy, error) {
+func parseStrategy(s string) (resilience.Strategy, error) {
 	switch s {
 	case "baseline":
-		return core.Baseline, nil
+		return resilience.Baseline, nil
 	case "heuristic":
-		return core.HeuristicOnly, nil
+		return resilience.HeuristicOnly, nil
 	case "reduction":
-		return core.ReductionOnly, nil
+		return resilience.ReductionOnly, nil
 	case "combined":
-		return core.Combined, nil
+		return resilience.Combined, nil
 	default:
 		return 0, fmt.Errorf("unknown strategy %q", s)
 	}

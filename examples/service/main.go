@@ -21,6 +21,7 @@ import (
 	"syrep/internal/papernet"
 	"syrep/internal/resilience"
 	"syrep/internal/resilience/faultinject"
+	"syrep/internal/retry"
 	"syrep/internal/server"
 )
 
@@ -44,7 +45,7 @@ func run() error {
 	s := server.New(server.Config{
 		Workers:        2,
 		RetryBase:      5 * time.Millisecond,
-		Breaker:        server.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond, Probes: 1},
+		Breaker:        retry.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond, Probes: 1},
 		MemoryPressure: pressured.Load,
 		Hook:           injector,
 		Obs:            ob,

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"syrep/internal/combinatorial"
-	"syrep/internal/core"
 	"syrep/internal/network"
 	"syrep/internal/quality"
+	"syrep/internal/resilience"
 	"syrep/internal/topozoo"
 	"syrep/internal/verify"
 )
@@ -32,12 +32,12 @@ func TestIntegrationPipelineSweep(t *testing.T) {
 	}
 	for _, inst := range suite {
 		for k := 1; k <= 2; k++ {
-			r, rep, err := core.Synthesize(ctx, inst.Net, inst.Dest, k, core.Options{
-				Strategy: core.Combined,
+			r, rep, err := resilience.Synthesize(ctx, inst.Net, inst.Dest, k, resilience.Options{
+				Strategy: resilience.Combined,
 				Timeout:  30 * time.Second,
 			})
 			if err != nil {
-				if errors.Is(err, core.ErrUnsolvable) || errors.Is(err, context.DeadlineExceeded) {
+				if errors.Is(err, resilience.ErrUnsolvable) || errors.Is(err, context.DeadlineExceeded) {
 					t.Logf("%s k=%d: %v (accepted)", inst.Name, k, err)
 					continue
 				}
@@ -82,8 +82,8 @@ func TestIntegrationCombinatorialEquivalence(t *testing.T) {
 		Dest: 0,
 		Name: "zoo10",
 	}
-	r, _, err := core.Synthesize(ctx, inst.Net, inst.Dest, 2, core.Options{
-		Strategy: core.Combined,
+	r, _, err := resilience.Synthesize(ctx, inst.Net, inst.Dest, 2, resilience.Options{
+		Strategy: resilience.Combined,
 		Timeout:  30 * time.Second,
 	})
 	if err != nil {

@@ -42,12 +42,12 @@ var methodTargets = []struct{ pkg, typ, name string }{
 // consumed. Identification is by package *name* so analysistest fixtures can
 // stub these packages under short import paths.
 var funcTargets = map[string]map[string]bool{
-	"verify": {"Check": true, "MaxResilience": true},
-	"encode": {"Solve": true, "Enumerate": true, "BuildSymbolic": true},
-	"synth":  {"Baseline": true, "Holes": true},
-	"repair": {"Repair": true},
-	"core":   {"Synthesize": true, "Repair": true},
-	"syrep":  {"Synthesize": true, "Repair": true, "Verify": true, "MaxResilience": true},
+	"verify":     {"Check": true, "MaxResilience": true},
+	"encode":     {"Solve": true, "Enumerate": true, "BuildSymbolic": true},
+	"synth":      {"Baseline": true, "Holes": true},
+	"repair":     {"Repair": true},
+	"resilience": {"Synthesize": true, "Repair": true},
+	"syrep":      {"Synthesize": true, "Repair": true, "Verify": true, "MaxResilience": true},
 	"heuristic": {
 		"Generate": true, "Generate1Resilient": true, "GenerateWithInfo": true,
 	},

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"syrep/internal/bdd"
-	"syrep/internal/core"
 	"syrep/internal/encode"
 	"syrep/internal/obs"
 	"syrep/internal/reduce"
@@ -29,7 +28,7 @@ type Result struct {
 	Instance string
 	Nodes    int
 	Edges    int
-	Method   core.Strategy
+	Method   resilience.Strategy
 	K        int
 	Solved   bool
 	Elapsed  time.Duration
@@ -68,7 +67,7 @@ type Config struct {
 	// used 20 minutes on a Xeon — scale down for laptop runs.
 	Timeout time.Duration
 	// Methods lists the strategies to compare (default: all four).
-	Methods []core.Strategy
+	Methods []resilience.Strategy
 	// NodeLimit caps BDD nodes per run (a memory analogue of the paper's
 	// 128 GB limit).
 	NodeLimit int
@@ -80,7 +79,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if len(c.Methods) == 0 {
-		c.Methods = []core.Strategy{core.Baseline, core.HeuristicOnly, core.ReductionOnly, core.Combined}
+		c.Methods = []resilience.Strategy{resilience.Baseline, resilience.HeuristicOnly, resilience.ReductionOnly, resilience.Combined}
 	}
 	return c
 }
@@ -101,7 +100,7 @@ func Run(ctx context.Context, instances []topozoo.Instance, cfg Config) []Result
 	return out
 }
 
-func runOne(ctx context.Context, inst topozoo.Instance, m core.Strategy, cfg Config) Result {
+func runOne(ctx context.Context, inst topozoo.Instance, m resilience.Strategy, cfg Config) Result {
 	res := Result{
 		Instance: inst.Name,
 		Nodes:    inst.Net.NumNodes(),
@@ -114,7 +113,7 @@ func runOne(ctx context.Context, inst topozoo.Instance, m core.Strategy, cfg Con
 		ob = obs.New(nil)
 	}
 	start := time.Now()
-	_, rep, err := core.Synthesize(ctx, inst.Net, inst.Dest, cfg.K, core.Options{
+	_, rep, err := resilience.Synthesize(ctx, inst.Net, inst.Dest, cfg.K, resilience.Options{
 		Strategy: m,
 		Timeout:  cfg.Timeout,
 		Encode:   encode.Options{NodeLimit: cfg.NodeLimit},
@@ -127,7 +126,7 @@ func runOne(ctx context.Context, inst topozoo.Instance, m core.Strategy, cfg Con
 	}
 	if rep != nil {
 		res.RepairUsed = rep.ReducedRepairUsed || rep.ExpansionRepairUsed ||
-			(m == core.HeuristicOnly && !rep.HeuristicWasResilient)
+			(m == resilience.HeuristicOnly && !rep.HeuristicWasResilient)
 	}
 	switch {
 	case err == nil:
@@ -141,7 +140,7 @@ func runOne(ctx context.Context, inst topozoo.Instance, m core.Strategy, cfg Con
 	default:
 		res.Err = err.Error()
 	}
-	if p, ok := core.AsPartial(err); ok {
+	if p, ok := resilience.AsPartial(err); ok {
 		res.Partial = true
 		res.DegradedStage = string(p.Degradation.Stage)
 		if p.ResidualUnknown {
@@ -159,7 +158,7 @@ func runOne(ctx context.Context, inst topozoo.Instance, m core.Strategy, cfg Con
 // numbers ("the baseline solved 120 instances while our combined method
 // solved 167; repair was initiated for 41 networks").
 type Summary struct {
-	Method     core.Strategy
+	Method     resilience.Strategy
 	Solved     int
 	TimedOut   int
 	MemOut     int
@@ -173,8 +172,8 @@ type Summary struct {
 
 // Summarise groups results by method.
 func Summarise(results []Result) []Summary {
-	byMethod := make(map[core.Strategy]*Summary)
-	var order []core.Strategy
+	byMethod := make(map[resilience.Strategy]*Summary)
+	var order []resilience.Strategy
 	for _, r := range results {
 		s, ok := byMethod[r.Method]
 		if !ok {
@@ -226,7 +225,7 @@ func WriteSummary(w io.Writer, results []Result) error {
 // CactusSeries returns, for the method, the sorted solve times — one point
 // per solved instance, as in Figures 7a and 7c (each method sorted
 // independently).
-func CactusSeries(results []Result, m core.Strategy) []time.Duration {
+func CactusSeries(results []Result, m resilience.Strategy) []time.Duration {
 	var times []time.Duration
 	for _, r := range results {
 		if r.Method == m && r.Solved {
@@ -239,7 +238,7 @@ func CactusSeries(results []Result, m core.Strategy) []time.Duration {
 
 // WriteCactus renders the cactus plot data: instance rank vs per-method
 // cumulative-sorted CPU time.
-func WriteCactus(w io.Writer, results []Result, methods []core.Strategy) error {
+func WriteCactus(w io.Writer, results []Result, methods []resilience.Strategy) error {
 	series := make([][]time.Duration, len(methods))
 	maxLen := 0
 	for i, m := range methods {
@@ -291,7 +290,7 @@ type RatioPoint struct {
 
 // Ratios computes the per-instance runtime ratios a/b over instances both
 // methods solved, sorted ascending by ratio.
-func Ratios(results []Result, a, b core.Strategy) []RatioPoint {
+func Ratios(results []Result, a, b resilience.Strategy) []RatioPoint {
 	type pair struct{ ra, rb *Result }
 	byInstance := make(map[string]*pair)
 	for i := range results {
@@ -339,7 +338,7 @@ func Ratios(results []Result, a, b core.Strategy) []RatioPoint {
 }
 
 // WriteRatios renders the ratio plot data.
-func WriteRatios(w io.Writer, results []Result, a, b core.Strategy) error {
+func WriteRatios(w io.Writer, results []Result, a, b resilience.Strategy) error {
 	points := Ratios(results, a, b)
 	if _, err := fmt.Fprintf(w, "%-28s %12s %12s %10s\n",
 		"instance", a.String(), b.String(), "ratio"); err != nil {
@@ -364,7 +363,7 @@ type ScatterPoint struct {
 
 // Scatter extracts (size, runtime) points for the method; byEdges selects
 // Figure 8 (edges) over Figure 9 (nodes). Points are sorted by size.
-func Scatter(results []Result, m core.Strategy, byEdges bool) []ScatterPoint {
+func Scatter(results []Result, m resilience.Strategy, byEdges bool) []ScatterPoint {
 	var out []ScatterPoint
 	for _, r := range results {
 		if r.Method != m || !r.Solved {
@@ -386,7 +385,7 @@ func Scatter(results []Result, m core.Strategy, byEdges bool) []ScatterPoint {
 }
 
 // WriteScatter renders Figure 8/9 data for the method.
-func WriteScatter(w io.Writer, results []Result, m core.Strategy, byEdges bool) error {
+func WriteScatter(w io.Writer, results []Result, m resilience.Strategy, byEdges bool) error {
 	axis := "nodes"
 	if byEdges {
 		axis = "edges"

@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"syrep/internal/benchmark"
-	"syrep/internal/core"
 	"syrep/internal/obs"
 	"syrep/internal/papernet"
+	"syrep/internal/resilience"
 	"syrep/internal/topozoo"
 )
 
@@ -93,7 +93,7 @@ func TestSummarise(t *testing.T) {
 
 func TestCactusSeriesSorted(t *testing.T) {
 	results := runSmall(t)
-	series := benchmark.CactusSeries(results, core.Combined)
+	series := benchmark.CactusSeries(results, resilience.Combined)
 	if len(series) != 2 {
 		t.Fatalf("series = %d points, want 2", len(series))
 	}
@@ -101,7 +101,7 @@ func TestCactusSeriesSorted(t *testing.T) {
 		t.Error("cactus series not sorted")
 	}
 	var sb strings.Builder
-	err := benchmark.WriteCactus(&sb, results, []core.Strategy{core.Baseline, core.Combined})
+	err := benchmark.WriteCactus(&sb, results, []resilience.Strategy{resilience.Baseline, resilience.Combined})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCactusSeriesSorted(t *testing.T) {
 
 func TestRatios(t *testing.T) {
 	results := runSmall(t)
-	points := benchmark.Ratios(results, core.Combined, core.Baseline)
+	points := benchmark.Ratios(results, resilience.Combined, resilience.Baseline)
 	if len(points) != 2 {
 		t.Fatalf("ratio points = %d, want 2", len(points))
 	}
@@ -122,7 +122,7 @@ func TestRatios(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := benchmark.WriteRatios(&sb, results, core.Combined, core.Baseline); err != nil {
+	if err := benchmark.WriteRatios(&sb, results, resilience.Combined, resilience.Baseline); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "ratio") {
@@ -132,8 +132,8 @@ func TestRatios(t *testing.T) {
 
 func TestScatter(t *testing.T) {
 	results := runSmall(t)
-	byEdges := benchmark.Scatter(results, core.Combined, true)
-	byNodes := benchmark.Scatter(results, core.Combined, false)
+	byEdges := benchmark.Scatter(results, resilience.Combined, true)
+	byNodes := benchmark.Scatter(results, resilience.Combined, false)
 	if len(byEdges) != 2 || len(byNodes) != 2 {
 		t.Fatalf("scatter sizes: %d/%d, want 2/2", len(byEdges), len(byNodes))
 	}
@@ -141,7 +141,7 @@ func TestScatter(t *testing.T) {
 		t.Error("scatter not sorted by size")
 	}
 	var sb strings.Builder
-	if err := benchmark.WriteScatter(&sb, results, core.Combined, true); err != nil {
+	if err := benchmark.WriteScatter(&sb, results, resilience.Combined, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "edges") {
@@ -214,7 +214,7 @@ func TestObserveAttachesMetrics(t *testing.T) {
 	results := benchmark.Run(ctx, inst, benchmark.Config{
 		K:       2,
 		Timeout: 30 * time.Second,
-		Methods: []core.Strategy{core.Combined},
+		Methods: []resilience.Strategy{resilience.Combined},
 		Observe: true,
 	})
 	if len(results) != 1 {
@@ -265,7 +265,7 @@ func TestObserveAttachesMetrics(t *testing.T) {
 
 	// Unobserved runs must leave Metrics nil and omit it from the JSON.
 	plain := benchmark.Run(ctx, inst, benchmark.Config{
-		K: 2, Timeout: 30 * time.Second, Methods: []core.Strategy{core.Combined},
+		K: 2, Timeout: 30 * time.Second, Methods: []resilience.Strategy{resilience.Combined},
 	})
 	if plain[0].Metrics != nil {
 		t.Error("unobserved run carries metrics")
@@ -297,7 +297,7 @@ func TestTimeoutIsRecorded(t *testing.T) {
 	results := benchmark.Run(ctx, inst, benchmark.Config{
 		K:       3,
 		Timeout: time.Millisecond,
-		Methods: []core.Strategy{core.Baseline},
+		Methods: []resilience.Strategy{resilience.Baseline},
 	})
 	if len(results) != 1 {
 		t.Fatalf("results = %d", len(results))

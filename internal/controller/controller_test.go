@@ -9,7 +9,7 @@ import (
 	"syrep/internal/obs"
 	"syrep/internal/resilience"
 	"syrep/internal/resilience/faultinject"
-	"syrep/internal/server"
+	"syrep/internal/retry"
 )
 
 // harness runs one controller with a MemSink and a settlement channel.
@@ -64,7 +64,7 @@ func startCtl(t *testing.T, mod func(*Config)) *harness {
 		Dests:         []string{"s0"},
 		K:             1,
 		Sink:          h.sink,
-		Breaker:       server.BreakerConfig{Threshold: 3, Cooldown: time.Minute},
+		Breaker:       retry.BreakerConfig{Threshold: 3, Cooldown: time.Minute},
 		RepairTimeout: 2 * time.Second,
 		PushAttempts:  3,
 		RetryBase:     time.Millisecond,

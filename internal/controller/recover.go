@@ -238,7 +238,7 @@ func Recover(cfg Config) (*Controller, RecoveryInfo, error) {
 					continue
 				}
 				if r, derr := decodeTable(topo, dest, a.Table); derr == nil {
-					c.cachePut(topo, dest, r)
+					c.cachePut(topo, r)
 					info.CacheSeeded++
 				}
 			}

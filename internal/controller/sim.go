@@ -12,7 +12,7 @@ import (
 	"syrep/internal/cache"
 	"syrep/internal/network"
 	"syrep/internal/obs"
-	"syrep/internal/server"
+	"syrep/internal/retry"
 )
 
 // SimConfig parameterizes the Poisson churn simulation: a seeded stream of
@@ -147,7 +147,7 @@ func RunSim(ctx context.Context, cfg SimConfig) (*SimResult, error) {
 		K:         1,
 		Sink:      sink,
 		Cache:     cache.New(cache.Config{MaxEntries: 4096, Obs: o}),
-		Breaker:   server.BreakerConfig{Threshold: 5, Cooldown: 50 * time.Millisecond},
+		Breaker:   retry.BreakerConfig{Threshold: 5, Cooldown: 50 * time.Millisecond},
 		RetrySeed: cfg.Seed,
 		// Tight repair budget: a dest made unsolvable by the current
 		// failure set should degrade quickly, not stall the pass.

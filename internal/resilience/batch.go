@@ -265,7 +265,7 @@ func (b *batch) solve(dest network.NodeID) DestResult {
 	if c == nil {
 		return b.runDest(res)
 	}
-	key := b.cacheKey(dest)
+	key := CacheKey(b.net, dest, b.k, b.run.Strategy)
 	if e, ok := c.Get(key); ok {
 		res.Routing, res.Resilient, res.Cached = e.Routing, e.Resilient, true
 		return res
@@ -321,19 +321,4 @@ func (b *batch) runDest(res DestResult) DestResult {
 	res.Routing = r
 	res.Resilient = true
 	return res
-}
-
-// cacheKey mirrors the server's content-addressed key so batch results and
-// single-request results share cache lines.
-func (b *batch) cacheKey(dest network.NodeID) cache.Key {
-	strat := b.run.Strategy
-	if strat == 0 {
-		strat = Combined
-	}
-	return cache.Key{
-		Topo:     b.net.Fingerprint(),
-		Dest:     b.net.NodeName(dest),
-		K:        b.k,
-		Strategy: strat.String(),
-	}
 }

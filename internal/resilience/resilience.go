@@ -74,7 +74,7 @@ func (s Strategy) String() string {
 // ErrUnsolvable is returned when the selected strategy cannot produce a
 // perfectly k-resilient routing for the instance (which may still be
 // solvable by another strategy, or genuinely have no solution).
-var ErrUnsolvable = errors.New("core: strategy could not produce a perfectly k-resilient routing")
+var ErrUnsolvable = errors.New("resilience: strategy could not produce a perfectly k-resilient routing")
 
 // ErrBudget marks a deadline expiry caused by a per-stage budget rather
 // than the overall timeout: the stage exhausted its share of the deadline

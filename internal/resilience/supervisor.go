@@ -344,7 +344,7 @@ func (s *run) synthesize() (*routing.Routing, error) {
 		}
 		return s.runHeuristicPipeline(rd)
 	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", s.opts.Strategy)
+		return nil, fmt.Errorf("resilience: unknown strategy %v", s.opts.Strategy)
 	}
 }
 
@@ -589,7 +589,7 @@ func (s *run) finalVerify(r *routing.Routing) (*routing.Routing, error) {
 		return nil, s.fail(StageFinalVerify, err, 0)
 	}
 	if !vrep.Resilient {
-		return nil, fmt.Errorf("core: internal error: produced routing failed final verification")
+		return nil, fmt.Errorf("resilience: internal error: produced routing failed final verification")
 	}
 	return r, nil
 }

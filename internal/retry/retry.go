@@ -1,9 +1,12 @@
-// Package retry provides the repository's one retry-delay policy:
+// Package retry is the fault policy shared by the synthesis server and the
+// churn controller. It provides the repository's one retry-delay policy —
 // exponential growth with full jitter (delay = uniform[0, min(cap,
 // base·2^attempt))), the schedule that spreads retry storms thinnest for a
-// loaded service. It exists so the synthesis server's request retries and
-// the churn controller's southbound push retries share a single, tested
-// implementation instead of two drifting copies.
+// loaded service — and the three-state circuit breaker (Breaker) both
+// components consult before running the BDD pipeline. Keeping both here
+// gives the server's request retries and the controller's repairs and
+// southbound pushes a single, tested implementation instead of drifting
+// copies.
 //
 // The RNG is seeded, so a component's delay sequence is reproducible from
 // its configuration — the same property the fault-injection harness relies

@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"testing"
 
-	"syrep/internal/core"
 	"syrep/internal/papernet"
+	"syrep/internal/resilience"
 )
 
 // TestSynthesisDeterministic is the repo's reproducibility contract: running
@@ -17,12 +17,12 @@ import (
 // result — the exact bug class the maporder/bddref analyzers guard against.
 func TestSynthesisDeterministic(t *testing.T) {
 	ctx := context.Background()
-	for _, s := range []core.Strategy{core.Baseline, core.HeuristicOnly, core.ReductionOnly, core.Combined} {
+	for _, s := range []resilience.Strategy{resilience.Baseline, resilience.HeuristicOnly, resilience.ReductionOnly, resilience.Combined} {
 		t.Run(s.String(), func(t *testing.T) {
 			encode := func() []byte {
 				n := papernet.Figure1()
 				d := papernet.Figure1Dest(n)
-				r, _, err := core.Synthesize(ctx, n, d, 2, core.Options{Strategy: s})
+				r, _, err := resilience.Synthesize(ctx, n, d, 2, resilience.Options{Strategy: s})
 				if err != nil {
 					t.Fatalf("Synthesize: %v", err)
 				}

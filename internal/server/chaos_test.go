@@ -12,6 +12,7 @@ import (
 	"syrep/internal/obs"
 	"syrep/internal/resilience"
 	"syrep/internal/resilience/faultinject"
+	"syrep/internal/retry"
 )
 
 // swapHook is a resilience.Hook whose inner hook the test swaps between
@@ -53,7 +54,7 @@ func TestChaosTrichotomy(t *testing.T) {
 		QueueDepth:   16,
 		Hook:         hook,
 		RetryMax:     1,
-		Breaker:      BreakerConfig{Threshold: 4, Cooldown: 50 * time.Millisecond, Probes: 1},
+		Breaker:      retry.BreakerConfig{Threshold: 4, Cooldown: 50 * time.Millisecond, Probes: 1},
 		Obs:          o,
 		sleep:        func(context.Context, time.Duration) error { return nil },
 		DrainTimeout: 2 * time.Second,
@@ -101,7 +102,7 @@ func TestChaosTrichotomy(t *testing.T) {
 	if err := soakErr.Load(); err != nil {
 		t.Fatalf("soak: %v", err)
 	}
-	if s.Breaker().State() != BreakerClosed {
+	if s.Breaker().State() != retry.BreakerClosed {
 		t.Fatalf("breaker = %s after soak, want closed", s.Breaker().State())
 	}
 
@@ -129,7 +130,7 @@ func TestChaosTrichotomy(t *testing.T) {
 	if resp.Err == nil || resp.Degraded {
 		t.Fatalf("sustained-2: err=%v degraded=%v, want the tripping failure", resp.Err, resp.Degraded)
 	}
-	if s.Breaker().State() != BreakerOpen {
+	if s.Breaker().State() != retry.BreakerOpen {
 		t.Fatalf("breaker = %s after sustained faults, want open", s.Breaker().State())
 	}
 	resp = do("degraded")
@@ -146,7 +147,7 @@ func TestChaosTrichotomy(t *testing.T) {
 		t.Fatalf("probe-fail: degraded=%v err=%v, want degraded fallback after the failed probe",
 			resp.Degraded, resp.Err)
 	}
-	if s.Breaker().State() != BreakerOpen {
+	if s.Breaker().State() != retry.BreakerOpen {
 		t.Fatalf("breaker = %s after failed probe, want open", s.Breaker().State())
 	}
 
@@ -159,17 +160,17 @@ func TestChaosTrichotomy(t *testing.T) {
 		t.Fatalf("recovery: err=%v degraded=%v resilient=%v, want full service back",
 			resp.Err, resp.Degraded, resp.Resilient)
 	}
-	if s.Breaker().State() != BreakerClosed {
+	if s.Breaker().State() != retry.BreakerClosed {
 		t.Fatalf("breaker = %s after recovery, want closed", s.Breaker().State())
 	}
 
 	// The breaker walked exactly the scripted trajectory.
-	want := []struct{ from, to BreakerState }{
-		{BreakerClosed, BreakerOpen},     // sustained faults
-		{BreakerOpen, BreakerHalfOpen},   // cooldown
-		{BreakerHalfOpen, BreakerOpen},   // failed probe
-		{BreakerOpen, BreakerHalfOpen},   // second cooldown
-		{BreakerHalfOpen, BreakerClosed}, // successful probe
+	want := []struct{ from, to retry.BreakerState }{
+		{retry.BreakerClosed, retry.BreakerOpen},     // sustained faults
+		{retry.BreakerOpen, retry.BreakerHalfOpen},   // cooldown
+		{retry.BreakerHalfOpen, retry.BreakerOpen},   // failed probe
+		{retry.BreakerOpen, retry.BreakerHalfOpen},   // second cooldown
+		{retry.BreakerHalfOpen, retry.BreakerClosed}, // successful probe
 	}
 	got := s.Breaker().Transitions()
 	if len(got) != len(want) {

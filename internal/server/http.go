@@ -11,6 +11,7 @@ import (
 
 	"syrep/internal/network"
 	"syrep/internal/resilience"
+	"syrep/internal/retry"
 	"syrep/internal/routing"
 	"syrep/internal/topozoo"
 )
@@ -279,7 +280,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	state := s.breaker.State()
 	depth := s.QueueLen()
-	ready := !s.isDraining() && state == BreakerClosed && depth < s.cfg.HighWater
+	ready := !s.isDraining() && state == retry.BreakerClosed && depth < s.cfg.HighWater
 	body := map[string]any{
 		"ready":     ready,
 		"breaker":   state.String(),

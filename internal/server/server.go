@@ -216,7 +216,7 @@ type Config struct {
 	// (default 1s).
 	RetryAfterHint time.Duration
 	// Breaker tunes the circuit breaker.
-	Breaker BreakerConfig
+	Breaker retry.BreakerConfig
 	// DegradedBudget bounds each phase (heuristic generation, residual
 	// verification) of a degraded-mode response (default 1s).
 	DegradedBudget time.Duration
@@ -296,7 +296,6 @@ func (c Config) withDefaults() Config {
 	if c.WarmStartMaxDiff <= 0 {
 		c.WarmStartMaxDiff = 2
 	}
-	c.Breaker = c.Breaker.withDefaults()
 	if c.now == nil {
 		c.now = time.Now
 	}
@@ -339,7 +338,7 @@ type Server struct {
 	cfg     Config
 	queue   chan *job
 	wg      sync.WaitGroup
-	breaker *Breaker
+	breaker *retry.Breaker
 	backoff *retry.Backoff
 
 	// baseCtx parents every request context; Shutdown cancels it with
@@ -374,7 +373,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		queue:      make(chan *job, cfg.QueueDepth),
-		breaker:    NewBreaker(cfg.Breaker),
+		breaker:    retry.NewBreaker(cfg.Breaker),
 		backoff:    retry.New(cfg.RetryBase, cfg.RetryCap, cfg.RetrySeed),
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
@@ -390,9 +389,9 @@ func New(cfg Config) *Server {
 		queueHighWater: cfg.Obs.Gauge(MetricQueueHighWater),
 		breakerGauge:   cfg.Obs.Gauge(MetricBreakerState),
 	}
-	s.breaker.onTransition = func(_, to BreakerState) {
+	s.breaker.OnTransition(func(_, to retry.BreakerState) {
 		s.breakerGauge.Set(int64(to))
-	}
+	})
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -401,7 +400,7 @@ func New(cfg Config) *Server {
 }
 
 // Breaker exposes the circuit breaker for readiness checks and tests.
-func (s *Server) Breaker() *Breaker { return s.breaker }
+func (s *Server) Breaker() *retry.Breaker { return s.breaker }
 
 // QueueLen returns the number of admitted-but-unstarted requests, from the
 // same accounting that drives the queue gauges and load shedding.

@@ -13,6 +13,7 @@ import (
 	"syrep/internal/papernet"
 	"syrep/internal/resilience"
 	"syrep/internal/resilience/faultinject"
+	"syrep/internal/retry"
 )
 
 // gateHook blocks every supervisor stage until released, so tests can hold a
@@ -157,7 +158,7 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 	if slept[0] < 0 || slept[0] >= 10*time.Millisecond {
 		t.Errorf("first backoff = %s, want full jitter in [0, 10ms)", slept[0])
 	}
-	if s.Breaker().State() != BreakerClosed {
+	if s.Breaker().State() != retry.BreakerClosed {
 		t.Errorf("breaker = %s after recovery, want closed", s.Breaker().State())
 	}
 }
@@ -178,7 +179,7 @@ func TestPermanentFailFast(t *testing.T) {
 			t.Error("permanent failure must not back off")
 			return nil
 		},
-		Breaker:      BreakerConfig{Threshold: 2},
+		Breaker:      retry.BreakerConfig{Threshold: 2},
 		DrainTimeout: 2 * time.Second,
 	})
 	defer shutdownServer(t, s)
@@ -204,7 +205,7 @@ func TestPermanentFailFast(t *testing.T) {
 		}
 	}
 	// Three consecutive permanent errors with Threshold 2: still closed.
-	if s.Breaker().State() != BreakerClosed {
+	if s.Breaker().State() != retry.BreakerClosed {
 		t.Errorf("breaker = %s after permanent errors, want closed", s.Breaker().State())
 	}
 }
@@ -329,7 +330,7 @@ func TestMemoryPressureDegrades(t *testing.T) {
 	if resp.ResidualUnknown {
 		t.Error("the bounded verification pass should have priced the table")
 	}
-	if s.Breaker().State() != BreakerOpen {
+	if s.Breaker().State() != retry.BreakerOpen {
 		t.Errorf("breaker = %s, want open", s.Breaker().State())
 	}
 	if got := o.Counter(MetricDegraded).Load(); got != 1 {
@@ -418,7 +419,7 @@ func TestBreakerOpensOnNodeLimitFault(t *testing.T) {
 			Kind:  faultinject.NodeLimit, // Times 0: every attempt fails
 		}),
 		RetryMax:     -1,
-		Breaker:      BreakerConfig{Threshold: 3, Cooldown: time.Hour},
+		Breaker:      retry.BreakerConfig{Threshold: 3, Cooldown: time.Hour},
 		DrainTimeout: 2 * time.Second,
 	})
 	defer shutdownServer(t, s)
@@ -437,7 +438,7 @@ func TestBreakerOpensOnNodeLimitFault(t *testing.T) {
 			t.Fatalf("request %d err = %v, want node limit", i, resp.Err)
 		}
 	}
-	if s.Breaker().State() != BreakerOpen {
+	if s.Breaker().State() != retry.BreakerOpen {
 		t.Fatalf("breaker = %s after %d memouts, want open", s.Breaker().State(), 3)
 	}
 	// The next request rides the degraded path instead of failing.
@@ -516,5 +517,29 @@ func TestPartialSurvivesDeadlineExpiryInBackoff(t *testing.T) {
 	}
 	if !IsRetryable(resp.Err) {
 		t.Error("deadline expiry should stay retryable")
+	}
+}
+
+// TestBackoffFullJitter pins the server's retry schedule to the shared
+// helper's contract: delays uniform in [0, min(cap, base*2^n)) and
+// reproducible from the seed (the full table test lives in internal/retry).
+func TestBackoffFullJitter(t *testing.T) {
+	const base, cap = 10 * time.Millisecond, 80 * time.Millisecond
+	a := retry.New(base, cap, 7)
+	ceil := []time.Duration{base, 2 * base, 4 * base, cap, cap, cap}
+	var delays []time.Duration
+	for attempt, c := range ceil {
+		d := a.Delay(attempt)
+		if d < 0 || d >= c {
+			t.Errorf("Delay(%d) = %s, want in [0, %s)", attempt, d, c)
+		}
+		delays = append(delays, d)
+	}
+	// Same seed, same sequence.
+	b := retry.New(base, cap, 7)
+	for attempt, want := range delays {
+		if got := b.Delay(attempt); got != want {
+			t.Errorf("seeded replay diverged at attempt %d: %s != %s", attempt, got, want)
+		}
 	}
 }

@@ -27,25 +27,28 @@
 // and call syrep.Repair; only the entries involved in failing deliveries are
 // replaced.
 //
-// The internal packages expose the building blocks: internal/bdd (the ROBDD
-// engine), internal/verify (brute-force resilience checking),
-// internal/encode (the BDD encoding of Section III-A), internal/heuristic
-// (Section IV-A), internal/reduce (Section IV-B), and internal/benchmark
-// (the evaluation harness reproducing the paper's figures).
+// This package is the only public facade; it re-exports the pipeline of
+// internal/resilience, which supervises every run as an anytime
+// computation. The internal packages expose the building blocks:
+// internal/bdd (the ROBDD engine), internal/verify (brute-force resilience
+// checking), internal/encode (the BDD encoding of Section III-A),
+// internal/heuristic (Section IV-A), internal/reduce (Section IV-B), and
+// internal/benchmark (the evaluation harness reproducing the paper's
+// figures).
 package syrep
 
 import (
 	"context"
 
-	"syrep/internal/core"
 	"syrep/internal/network"
 	"syrep/internal/repair"
+	"syrep/internal/resilience"
 	"syrep/internal/routing"
 	"syrep/internal/verify"
 )
 
-// Re-exported core types. The aliases make the public surface a thin facade
-// over the internal packages while keeping a single import for users.
+// Re-exported pipeline types. The aliases make the public surface a thin
+// facade over the internal packages while keeping a single import for users.
 type (
 	// Network is an undirected multigraph with implicit loop-back edges.
 	Network = network.Network
@@ -60,11 +63,11 @@ type (
 	// Routing is a skipping routing toward a fixed destination.
 	Routing = routing.Routing
 	// Options configures Synthesize and Repair.
-	Options = core.Options
+	Options = resilience.Options
 	// Report describes a synthesis run.
-	Report = core.Report
+	Report = resilience.Report
 	// Strategy selects the synthesis method.
-	Strategy = core.Strategy
+	Strategy = resilience.Strategy
 	// RepairOutcome reports a repair, including the changed entries.
 	RepairOutcome = repair.Outcome
 	// VerifyReport is the result of a resilience check.
@@ -73,27 +76,27 @@ type (
 	// deadline, a node limit, or an internal fault still returns the best
 	// routing it had checkpointed, with the residual failing deliveries and a
 	// Degradation report. Extract it from an error with AsPartial.
-	Partial = core.Partial
+	Partial = resilience.Partial
 )
 
 // Synthesis strategies (paper Figure 7): the SyRep Combined pipeline is the
 // default and headline method; Baseline mirrors the SyPer tool of [26].
 const (
-	Baseline      = core.Baseline
-	HeuristicOnly = core.HeuristicOnly
-	ReductionOnly = core.ReductionOnly
-	Combined      = core.Combined
+	Baseline      = resilience.Baseline
+	HeuristicOnly = resilience.HeuristicOnly
+	ReductionOnly = resilience.ReductionOnly
+	Combined      = resilience.Combined
 )
 
 // ErrUnsolvable reports that the chosen strategy could not produce a
 // perfectly k-resilient routing.
-var ErrUnsolvable = core.ErrUnsolvable
+var ErrUnsolvable = resilience.ErrUnsolvable
 
 // AsPartial extracts the anytime supervisor's typed partial result from an
 // error returned by Synthesize or Repair: a degraded-but-usable routing plus
 // the deliveries still failing. Callers can deploy the partial table
 // immediately and re-run Repair on it later with a fresh budget.
-func AsPartial(err error) (*Partial, bool) { return core.AsPartial(err) }
+func AsPartial(err error) (*Partial, bool) { return resilience.AsPartial(err) }
 
 // NewBuilder starts constructing a network topology.
 func NewBuilder(name string) *Builder { return network.NewBuilder(name) }
@@ -104,13 +107,13 @@ func NewRouting(net *Network, dest NodeID) *Routing { return routing.New(net, de
 
 // Synthesize produces a perfectly k-resilient routing toward dest.
 func Synthesize(ctx context.Context, net *Network, dest NodeID, k int, opts Options) (*Routing, *Report, error) {
-	return core.Synthesize(ctx, net, dest, k, opts)
+	return resilience.Synthesize(ctx, net, dest, k, opts)
 }
 
 // Repair makes an existing routing perfectly k-resilient by replacing only
 // the entries that misbehave (the paper's minimally invasive use case).
 func Repair(ctx context.Context, r *Routing, k int, opts Options) (*RepairOutcome, error) {
-	return core.Repair(ctx, r, k, opts)
+	return resilience.Repair(ctx, r, k, opts)
 }
 
 // Verify checks perfect k-resilience by brute force and reports the failing
